@@ -1,6 +1,6 @@
 .PHONY: all build test check bench bench-diff fmt exec-smoke trace-smoke \
   telemetry-smoke fault-smoke profile-smoke fleet-smoke \
-  interference-smoke clean
+  interference-smoke perfbench-smoke clean
 
 all: build
 
@@ -110,6 +110,25 @@ interference-smoke:
 	dune build test/interference_smoke.exe
 	dune exec test/interference_smoke.exe -- \
 	  examples/configs/leo_satellite.air CAMERA
+
+# End-to-end benchmark pass: one short untraced run of each workload of
+# the repository benchmark (perfbench/README.md), built from source in the
+# release profile, each repetition advancing its workload's full horizon
+# and checking its output against the golden value. Fails unless every
+# result line reports "correct": true and "failed": 0.
+PERFBENCH_WORKLOADS = leo-dense beacon-sparse constellation-fleet campaign
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 0 > /tmp/air_perfbench_$$w.out || exit 1; \
+	  tail -n 1 /tmp/air_perfbench_$$w.out | python3 -c 'import json, sys; \
+	    r = json.loads(sys.stdin.read()); \
+	    ok = r.get("correct") is True and r.get("failed") == 0; \
+	    print(sys.argv[1], "attempted", r.get("attempted"), \
+	          "failed", r.get("failed"), "ok" if ok else "FAILED"); \
+	    sys.exit(0 if ok else 1)' $$w || exit 1; \
+	done
 
 clean:
 	dune clean

@@ -443,7 +443,15 @@ let telemetry_tests =
       Air.Pmk.create ~telemetry:tel ~partition_count:4
         (satellite_schedules ())
     in
-    Staged.stage (fun () -> ignore (Air.Pmk.tick pmk))
+    (* The scheduler feeds frame close and dispatch jitter; the per-tick
+       occupancy sample is the executive's, taken here as it takes it. *)
+    Staged.stage (fun () ->
+        ignore (Air.Pmk.tick pmk);
+        Air_obs.Telemetry.on_tick_idx tel
+          ~active:
+            (match Air.Pmk.active_partition pmk with
+            | Some p -> Air_model.Ident.Partition_id.index p
+            | None -> -1))
   in
   let prototype_tick_telemetry () =
     let cfg =

@@ -239,7 +239,12 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     campaign_json cores no_skip speed profile profile_json flows fleet domains
     =
   let turbo = not no_skip in
-  if (fleet || domains <> None) && not (is_fleet_document path) then begin
+  let cores_n = Option.value cores ~default:1 in
+  if cores_n <= 0 then begin
+    Format.eprintf "%s: --cores must be positive (got %d)@." path cores_n;
+    1
+  end
+  else if (fleet || domains <> None) && not (is_fleet_document path) then begin
     Format.eprintf "%s: --fleet/--domains need an (air-fleet …) document@."
       path;
     1
@@ -442,7 +447,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
       print_string
         (Air_vitral.Timeline.render
            ~tracks:(Air.System.track_names system)
-           ~lanes:(Option.value ~default:1 cfg.Air.System.cores)
+           ~lanes:(Air.System.cores system)
            (Air.System.spans system @ opens))
     end;
     if flows then begin
@@ -654,7 +659,7 @@ let cores_arg =
      lane per core off the global clock (overrides the document's (cores \
      N), if any). Window offsets are preserved, so the run is \
      time-faithful to the single-core one; mode-based schedule switches \
-     are broadcast to every lane."
+     are broadcast to every lane. $(docv) must be positive."
   in
   Arg.(value & opt (some int) None & info [ "cores" ] ~docv:"N" ~doc)
 

@@ -51,7 +51,7 @@ type env = {
   kernel : Kernel.t;
   intra : Intra.t;
   router : Router.t;
-  lane : Lane.t;
+  lane : Pmk_mc.t;
   now : unit -> Time.t;
   emit : Event.t -> unit;
   report_process_error : process:int -> Error.code -> detail:string -> unit;
@@ -283,7 +283,7 @@ let set_module_schedule env ~process target =
       ~detail:"SET_MODULE_SCHEDULE from application partition";
     Done Invalid_mode
   | Partition.System -> (
-    match Lane.request_schedule_switch env.lane target with
+    match Pmk_mc.request_schedule_switch env.lane target with
     | Ok () ->
       env.emit
         (Event.Schedule_switch_request
@@ -299,9 +299,9 @@ type schedule_status = {
 }
 
 let get_module_schedule_status env =
-  { time_of_last_schedule_switch = Lane.last_schedule_switch env.lane;
-    current_schedule = Lane.current_schedule env.lane;
-    next_schedule = Lane.next_schedule env.lane }
+  { time_of_last_schedule_switch = Pmk_mc.last_schedule_switch env.lane;
+    current_schedule = Pmk_mc.current_schedule env.lane;
+    next_schedule = Pmk_mc.next_schedule env.lane }
 
 let pp_schedule_status ppf s =
   Format.fprintf ppf "current=%a next=%a lastSwitch=%a" Ident.Schedule_id.pp

@@ -1,13 +1,13 @@
 (* Module construction — builds the [Runtime.t] record from a [config]:
-   shared observability registries, the PMK lane(s), the Health Monitor,
+   shared observability registries, the PMK lanes, the Health Monitor,
    the interpartition router, the spatial-protection tables and one
    (POS kernel, PAL, APEX environment) triple per partition.
 
-   Multicore: [cores = Some n] (n > 1) shards every scheduling table over
-   [n] lanes with {!Air_model.Multicore.shard} and drives them through a
-   {!Pmk_mc} behind the [Lane.Multi] constructor; window offsets are
-   preserved, so the sharded module is time-faithful to the single-core
-   one and mode-based switches are broadcast to every lane. *)
+   Lanes: every module runs on one {!Pmk_mc} with [cores] lanes (1 when
+   [cores] is [None]). Every scheduling table is sharded over them with
+   {!Air_model.Multicore.shard}; window offsets are preserved, so a
+   sharded module is time-faithful to the one-core one, and mode-based
+   switches are broadcast to every lane. *)
 
 open Air_sim
 open Air_model
@@ -35,18 +35,13 @@ let create (cfg : config) =
       (fun c -> Air_obs.Telemetry.create ~config:c ~partition_count ())
       cfg.telemetry
   in
+  let cores = Option.value cfg.cores ~default:1 in
+  if cores <= 0 then
+    invalid_arg "System.create: core count must be positive";
   let lane =
-    match cfg.cores with
-    | Some n when n > 1 ->
-      let tables = List.map (Multicore.shard ~cores:n) cfg.schedules in
-      Lane.Multi
-        (Pmk_mc.create ~metrics ?recorder:cfg.recorder ?telemetry
-           ?initial_schedule:cfg.initial_schedule ~partition_count tables)
-    | Some _ | None ->
-      Lane.Single
-        (Pmk.create ~metrics ?recorder:cfg.recorder ?telemetry
-           ?initial_schedule:cfg.initial_schedule ~partition_count
-           cfg.schedules)
+    Pmk_mc.create ~metrics ?recorder:cfg.recorder ?telemetry
+      ?initial_schedule:cfg.initial_schedule ~partition_count
+      (List.map (Multicore.shard ~cores) cfg.schedules)
   in
   (* Shared-resource contention model: lane-local accounts sized to the
      executive's core count; telemetry (if any) switches its interference
@@ -55,8 +50,7 @@ let create (cfg : config) =
   let contention =
     Option.map
       (fun c ->
-        Contention.create ~partitions:partition_count
-          ~lanes:(Lane.core_count lane) c)
+        Contention.create ~partitions:partition_count ~lanes:cores c)
       cfg.contention
   in
   (match (contention, telemetry) with

@@ -53,28 +53,22 @@ type t = {
       (* Flight recorder: partition-window spans opened/closed by the
          dispatcher, schedule-switch and change-action instants. *)
   telemetry : Air_obs.Telemetry.t option;
-      (* Telemetry accumulator: fed one occupancy sample per tick plus a
-         dispatch-jitter sample per context switch; its frame is closed at
-         every MTF boundary. *)
+      (* Telemetry accumulator: fed a dispatch-jitter sample per context
+         switch; lane 0 closes its frame at every MTF boundary. The
+         executive feeds the per-tick occupancy sample. *)
   allotted : int array array;
       (* Per schedule: each partition's total window time per MTF —
          precomputed so frame close stays off the window lists. *)
-  frame_owner : bool;
-      (* Whether this scheduler closes telemetry frames at MTF boundaries.
-         Exactly one lane of a multicore executive owns the frame. *)
-  occupancy : bool;
-      (* Whether this scheduler feeds the per-tick busy/idle occupancy
-         sample. A multicore executive disables per-lane occupancy and
-         records one combined sample per global tick instead. *)
   lane : int;
-      (* Lane index within a multicore executive; the sub-lane of every
+      (* Core index within the executive; the sub-lane of every
          partition-window span this scheduler records, so the timeline can
-         tell which core ran the window. 0 for a single-core module. *)
+         tell which core ran the window. Lane 0 owns the module-level
+         observation: it closes telemetry frames and records
+         schedule-switch instants. *)
 }
 
-let create ?metrics ?recorder ?telemetry ?(frame_owner = true)
-    ?(occupancy = true) ?(lane = 0) ?window_allotment ?initial_schedule
-    ~partition_count schedules_list =
+let create ?metrics ?recorder ?telemetry ?(lane = 0) ?window_allotment
+    ?initial_schedule ~partition_count schedules_list =
   (match Validate.validate_set schedules_list with
   | [] -> ()
   | d :: _ ->
@@ -120,7 +114,7 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true)
         schedules
   in
   (match telemetry with
-  | Some tel when frame_owner ->
+  | Some tel when lane = 0 ->
     Air_obs.Telemetry.prime tel ~schedule:initial ~allotted:allotted.(initial)
   | Some _ | None -> ());
   let reg =
@@ -159,8 +153,6 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true)
     recorder;
     telemetry;
     allotted;
-    frame_owner;
-    occupancy;
     lane }
 
 let schedule_count t = Array.length t.schedules
@@ -214,12 +206,11 @@ let effect_schedule_switch t =
   t.table_iterator <- 0;
   rebuild_schedule_cache t;
   Air_obs.Metrics.incr t.m_schedule_switches;
-  (* Module-track instant emitted by the frame owner only: every lane of a
-     multicore executive switches at the same boundary, one record
-     suffices. *)
+  (* Module-track instant emitted by lane 0 only: every lane switches at
+     the same boundary, one record suffices. *)
   (match t.recorder with
   | None -> ()
-  | Some _ when not t.frame_owner -> ()
+  | Some _ when t.lane <> 0 -> ()
   | Some r ->
     Air_obs.Span.instant r ~now:t.ticks ~track:(-1) "schedule-switch"
       ~detail:
@@ -357,16 +348,19 @@ let partition_dispatcher t =
     out.change_action <- change_action
   end
 
+let outcome t = t.out
+
 let tick t =
   let switched = partition_scheduler t in
   (* Telemetry frame close at the MTF boundary: the boundary tick opens the
      new frame, so the close runs after the scheduler (which may have made
      a pending schedule switch effective — the new frame runs under the new
-     schedule) and before this tick's occupancy is accumulated. *)
+     schedule) and before the executive accumulates this tick's
+     occupancy. *)
   let frame_closed =
     match t.telemetry with
     | None -> None
-    | Some _ when not t.frame_owner -> None
+    | Some _ when t.lane <> 0 -> None
     | Some tel ->
       if t.offset = 0 && t.ticks > Air_obs.Telemetry.frame_start tel then
         Some
@@ -376,14 +370,6 @@ let tick t =
       else None
   in
   partition_dispatcher t;
-  (match t.telemetry with
-  | Some tel when t.occupancy ->
-    Air_obs.Telemetry.on_tick_idx tel
-      ~active:
-        (match t.active_partition with
-        | Some p -> Partition_id.index p
-        | None -> -1)
-  | Some _ | None -> ());
   let out = t.out in
   out.schedule_switched <- switched;
   out.frame_closed <- frame_closed;
@@ -414,18 +400,9 @@ let skip t ~ticks:n =
        the running position in one step instead of n increments. *)
     t.offset <- (t.offset + n) mod t.cur_mtf;
     Air_obs.Metrics.add t.m_ticks n;
-    (match t.active_partition with
+    match t.active_partition with
     | Some p -> t.last_tick.(Partition_id.index p) <- t.ticks
-    | None -> ());
-    match t.telemetry with
-    | Some tel when t.occupancy ->
-      Air_obs.Telemetry.on_ticks_idx tel
-        ~active:
-          (match t.active_partition with
-          | Some p -> Partition_id.index p
-          | None -> -1)
-        ~count:n
-    | Some _ | None -> ()
+    | None -> ()
   end
 
 let pp ppf t =

@@ -22,8 +22,6 @@ val create :
   ?metrics:Air_obs.Metrics.t ->
   ?recorder:Air_obs.Span.t ->
   ?telemetry:Air_obs.Telemetry.t ->
-  ?frame_owner:bool ->
-  ?occupancy:bool ->
   ?lane:int ->
   ?window_allotment:int array array ->
   ?initial_schedule:Schedule_id.t ->
@@ -40,26 +38,22 @@ val create :
     track), a [schedule-switch] instant on the module track at every
     effective mode switch, and a [schedule-change-action] instant when a
     pending action is delivered at first dispatch. [telemetry], when
-    given, is primed with the initial schedule's per-partition window
-    allotments and then fed one occupancy sample per {!tick} plus a
-    dispatch-jitter sample per context switch; its frame is closed at
-    every MTF boundary (see {!tick_outcome.frame_closed}).
+    given, is fed a dispatch-jitter sample per context switch.
 
-    [frame_owner] (default [true]) controls whether this scheduler closes
-    telemetry frames at MTF boundaries; [occupancy] (default [true])
-    whether it feeds the per-tick busy/idle sample. A multicore executive
-    shares one accumulator between its lanes: lane 0 owns the frame, all
-    lanes disable per-lane occupancy and the executive records one
-    combined sample per global tick instead. [lane] (default 0) is this
-    scheduler's core index within a multicore executive: every
-    [partition-window] span it records carries the lane as its sub-lane,
-    so the timeline can attribute windows to cores; module-track
-    [schedule-switch] instants are only recorded by the frame owner, one
-    per effective switch cluster-wide. [window_allotment] overrides
-    the per-schedule per-partition allotted window time used to prime
-    telemetry frames (indexed by schedule id, then partition) — a
-    multicore frame owner passes the cross-core totals, since its own
-    lane's windows only cover part of each partition's grant. *)
+    [lane] (default 0) is this scheduler's core index within the
+    executive ({!Pmk_mc}), whose lanes share one recorder and one
+    telemetry accumulator. Every [partition-window] span a lane records
+    carries the lane as its sub-lane, so the timeline can attribute
+    windows to cores. Lane 0 owns the module-level observation: it primes
+    the telemetry accumulator with the initial schedule's per-partition
+    window allotments, closes its frame at every MTF boundary (see
+    {!tick_outcome.frame_closed}) and records the module-track
+    [schedule-switch] instants, one per effective switch. The per-tick
+    busy/idle occupancy sample is the executive's, not the scheduler's.
+    [window_allotment] overrides the per-schedule per-partition allotted
+    window time used to prime telemetry frames (indexed by schedule id,
+    then partition) — the executive passes the cross-core totals, since
+    lane 0's windows only cover part of each partition's grant. *)
 
 val schedule_count : t -> int
 val schedules : t -> Schedule.t array
@@ -119,6 +113,10 @@ val tick : t -> tick_outcome
 (** Advance the clock one tick and run Scheduler + Dispatcher. Returns the
     scheduler's reused outcome record (see {!tick_outcome}). *)
 
+val outcome : t -> tick_outcome
+(** The reused record every {!tick} returns, available before the first
+    tick. *)
+
 val next_preemption_tick : t -> Time.t
 (** The absolute tick at which the preemption table next fires — the next
     window boundary, idle-gap start, MTF boundary (frame close) or
@@ -131,9 +129,9 @@ val skip : t -> ticks:Time.t -> unit
 (** [skip t ~ticks:n] batch-advances the clock by [n] ticks in O(1),
     equivalent to [n] calls of {!tick} across a span the caller has proven
     quiescent: [ticks t + n < next_preemption_tick t] and no
-    partition-level work pending. Updates the tick counter and metrics,
-    the active partition's lastTick bookkeeping, and replays the span into
-    the telemetry occupancy accumulator. No-op for [n <= 0]. *)
+    partition-level work pending. Updates the tick counter and metrics
+    and the active partition's lastTick bookkeeping. No-op for
+    [n <= 0]. *)
 
 val mtf_position : t -> Time.t
 (** Offset of the current tick within the running MTF:

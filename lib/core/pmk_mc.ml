@@ -2,13 +2,13 @@ open Air_model
 
 type t = {
   cores : Pmk.t array;
-  mutable outs : Pmk.tick_outcome array;
-      (* Reused per-core outcome buffer: [tick] refills it in place after
-         the first call, so a steady-state multicore tick allocates
-         nothing. Each slot aliases the core's own reused record. *)
+  outs : Pmk.tick_outcome array;
+      (* Per-core outcomes: each slot aliases the core's own reused record
+         ({!Pmk.outcome}), which [Pmk.tick] rewrites in place — so [tick]
+         neither allocates nor stores into this array. *)
   actives : Ident.Partition_id.t option array;
-      (* Reused buffer for [active_partitions]; refilled on every call
-         (idempotent between ticks). *)
+      (* Each lane's active partition, refreshed by [tick] — the only
+         operation that can change it. *)
 }
 
 let create ?metrics ?recorder ?telemetry ?initial_schedule ~partition_count
@@ -31,7 +31,7 @@ let create ?metrics ?recorder ?telemetry ?initial_schedule ~partition_count
     invalid_arg "Pmk_mc.create: tables disagree on core count";
   (* Cross-core window allotment, indexed by schedule id then partition:
      a partition's telemetry grant is the sum of its windows over every
-     lane, not just the frame owner's. *)
+     lane, not just lane 0's. *)
   let allotment =
     let n = List.length tables in
     let by_id = Array.make n [||] in
@@ -51,27 +51,29 @@ let create ?metrics ?recorder ?telemetry ?initial_schedule ~partition_count
     (* Observation convention: metrics follow lane 0 (the primary lane);
        the recorder is shared by every lane — each tags its
        partition-window spans with its lane index as the sub-lane, and
-       only the frame owner records module-track schedule-switch instants.
-       The telemetry accumulator is shared by all lanes for
-       dispatch-jitter samples, lane 0 owns frame close, and per-lane
-       occupancy is disabled — the executive records one combined
-       busy/idle sample per global tick (the tables' no-self-overlap rule
-       guarantees at most one busy lane per tick for sharded schedules). *)
+       only lane 0 records module-track schedule-switch instants. The
+       telemetry accumulator is shared by all lanes for dispatch-jitter
+       samples and lane 0 owns frame close; the executive records one
+       combined busy/idle sample per global tick (the tables'
+       no-self-overlap rule guarantees at most one busy lane per tick for
+       sharded schedules). *)
     Array.init cores_n (fun core ->
         Pmk.create
           ?metrics:(if core = 0 then metrics else None)
-          ?recorder ?telemetry ~frame_owner:(core = 0) ~occupancy:false
-          ~lane:core ~window_allotment:allotment ?initial_schedule
-          ~partition_count
+          ?recorder ?telemetry ~lane:core ~window_allotment:allotment
+          ?initial_schedule ~partition_count
           (List.map (fun mc -> Multicore.core_view mc ~core) tables))
   in
-  { cores; outs = [||]; actives = Array.make cores_n None }
+  { cores;
+    outs = Array.map Pmk.outcome cores;
+    actives = Array.make cores_n None }
 
 let core_count t = Array.length t.cores
 let schedule_count t = Pmk.schedule_count t.cores.(0)
 let ticks t = Pmk.ticks t.cores.(0)
 let current_schedule t = Pmk.current_schedule t.cores.(0)
 let next_schedule t = Pmk.next_schedule t.cores.(0)
+let last_schedule_switch t = Pmk.last_schedule_switch t.cores.(0)
 
 let request_schedule_switch t id =
   (* Broadcast; every core holds the same schedule set, so the outcomes
@@ -82,29 +84,62 @@ let request_schedule_switch t id =
   results.(0)
 
 let tick t =
-  (* First tick allocates the buffer (each slot aliases the core's reused
-     outcome record); thereafter Pmk.tick rewrites those records in place
-     and the refill below only restores the aliases. *)
-  if Array.length t.outs = 0 then t.outs <- Array.map Pmk.tick t.cores
-  else
-    for i = 0 to Array.length t.cores - 1 do
-      t.outs.(i) <- Pmk.tick t.cores.(i)
-    done;
+  for i = 0 to Array.length t.cores - 1 do
+    let pmk = t.cores.(i) in
+    ignore (Pmk.tick pmk : Pmk.tick_outcome);
+    (* A lane's occupant changes only at a context switch: skipping the
+       unchanged store keeps the write barrier off the per-tick path. *)
+    let p = Pmk.active_partition pmk in
+    if t.actives.(i) != p then t.actives.(i) <- p
+  done;
   t.outs
 
-let active_partitions t =
-  for i = 0 to Array.length t.cores - 1 do
-    t.actives.(i) <- Pmk.active_partition t.cores.(i)
-  done;
-  t.actives
+let active_partitions t = t.actives
+
+(* The scans below are top-level loops, not local closures, so the
+   executive's per-tick and per-probe calls stay allocation-free. *)
+let rec first_active actives n i =
+  if i >= n then None
+  else
+    match actives.(i) with
+    | Some _ as p -> p
+    | None -> first_active actives n (i + 1)
+
+let combined_active t = first_active t.actives (Array.length t.actives) 0
+
+let rec find_lane actives pid n i =
+  if i >= n then None
+  else
+    match actives.(i) with
+    | Some p when Ident.Partition_id.equal p pid -> Some i
+    | Some _ | None -> find_lane actives pid n (i + 1)
+
+let active_lane_of t pid =
+  find_lane t.actives pid (Array.length t.actives) 0
+
+let rec earliest_preemption cores n i acc =
+  if i >= n then acc
+  else
+    let next = Pmk.next_preemption_tick cores.(i) in
+    earliest_preemption cores n (i + 1) (if next < acc then next else acc)
 
 let next_preemption_tick t =
-  Array.fold_left
-    (fun acc pmk -> Stdlib.min acc (Pmk.next_preemption_tick pmk))
-    Air_sim.Time.infinity t.cores
+  earliest_preemption t.cores (Array.length t.cores) 0 Air_sim.Time.infinity
 
-let skip t ~ticks = Array.iter (fun pmk -> Pmk.skip pmk ~ticks) t.cores
+let skip t ~ticks =
+  for i = 0 to Array.length t.cores - 1 do
+    Pmk.skip t.cores.(i) ~ticks
+  done
 
 let core t i =
   if i < 0 || i >= core_count t then invalid_arg "Pmk_mc.core: out of range";
   t.cores.(i)
+
+let pp ppf t =
+  Format.fprintf ppf "@[<v>";
+  Array.iteri
+    (fun i pmk ->
+      if i > 0 then Format.fprintf ppf "@,";
+      Format.fprintf ppf "lane %d: %a" i Pmk.pp pmk)
+    t.cores;
+  Format.fprintf ppf "@]"

@@ -135,7 +135,7 @@ type prt = {
 
 type t = {
   cfg : config;
-  lane : Lane.t;
+  lane : Pmk_mc.t;
   hm : Hm.t;
   router : Router.t;
   protection : Protection.t;
@@ -148,7 +148,12 @@ type t = {
   mutable halt_reason : string option;
 }
 
-let now t = Stdlib.max 0 (Lane.ticks t.lane)
+(* The clock reads -1 before the first tick; [now] clamps it to 0. An int
+   comparison, not [Stdlib.max], whose polymorphic compare is a C call on
+   every read of the clock. *)
+let now t =
+  let ticks = Pmk_mc.ticks t.lane in
+  if ticks < 0 then 0 else ticks
 
 let emit t ev =
   Trace.record t.trace (now t) ev;

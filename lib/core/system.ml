@@ -1,6 +1,6 @@
 (* The clock-tick executive — top layer of the decomposed system. State
    and lifecycle live in [Runtime], construction in [Boot], script
-   interpretation in [Interp]; this module drives the PMK lane(s) off the
+   interpretation in [Interp]; this module drives the PMK lanes off the
    global clock, announces elapsed time to the active partitions' PALs
    (Algorithm 3), runs the heir process, and exposes observation,
    intervention and fault-injection surfaces. It also provides the
@@ -62,10 +62,9 @@ let handle_closed_frame t (frame : Air_obs.Telemetry.frame) =
               ~detail:(detail mine))
         t.partitions)
 
-(* First-level outcome bookkeeping shared by the single- and multicore
-   paths. Under a broadcast switch every lane switches at the same
-   boundary; the module-level Schedule_switch event is emitted once, from
-   the primary lane. *)
+(* First-level outcome bookkeeping, once per lane. Under a broadcast
+   switch every lane switches at the same boundary; the module-level
+   Schedule_switch event is emitted once, from the primary lane. *)
 let apply_outcome t ~primary (o : Pmk.tick_outcome) =
   (match o.Pmk.schedule_switched with
   | Some (from, to_) when primary -> emit t (Event.Schedule_switch { from; to_ })
@@ -174,7 +173,7 @@ let drive_partition t prt ~elapsed =
    window's budgets and co-runner pressure are pushed into the frame
    accumulator here. *)
 let contention_rollover t c =
-  if Pmk.mtf_position (Lane.primary t.lane) = 0 then begin
+  if Pmk.mtf_position (Pmk_mc.core t.lane 0) = 0 then begin
     let tnow = now t in
     if tnow > Contention.window_start c then begin
       Contention.rollover c ~now:tnow;
@@ -189,55 +188,43 @@ let contention_rollover t c =
     end
   end
 
-let step_single t pmk =
-  let outcome = Pmk.tick pmk in
-  apply_outcome t ~primary:true outcome;
-  (match t.contention with
-  | Some c -> contention_rollover t c
-  | None -> ());
-  match Pmk.active_partition pmk with
-  | None -> ()
-  | Some pid -> drive_partition t (prt_of t pid) ~elapsed:outcome.Pmk.elapsed
+(* The module's combined busy/idle occupancy sample: the one partition
+   holding a core, or -1 when every lane idles (validated tables keep at
+   most one lane busy under sharded schedules). *)
+let occupant t =
+  match Pmk_mc.combined_active t.lane with
+  | Some p -> Partition_id.index p
+  | None -> -1
 
-let step_multi t mc =
-  let outcomes = Pmk_mc.tick mc in
-  for core = 0 to Array.length outcomes - 1 do
-    apply_outcome t ~primary:(core = 0) outcomes.(core)
-  done;
-  (* Per-lane occupancy sampling is disabled in Pmk_mc; record one
-     combined busy/idle sample per global tick (validated tables keep at
-     most one lane busy under sharded schedules). *)
-  (match t.telemetry with
-  | Some tel ->
-    Air_obs.Telemetry.on_tick_idx tel
-      ~active:
-        (match Lane.combined_active t.lane with
-        | Some p -> Partition_id.index p
-        | None -> -1)
-  | None -> ());
-  (match t.contention with
-  | Some c -> contention_rollover t c
-  | None -> ());
-  let actives = Pmk_mc.active_partitions mc in
-  for core = 0 to Array.length actives - 1 do
-    match actives.(core) with
-    | Some pid when Option.is_none t.halt_reason ->
-      (* Lane-local charging: every shared-resource touch made while this
-         core's partition is driven debits this lane's account. *)
-      (match t.contention with
-      | Some c -> Contention.set_lane c core
-      | None -> ());
-      drive_partition t (prt_of t pid) ~elapsed:outcomes.(core).Pmk.elapsed
-    | Some _ | None -> ()
-  done
-
+(* One global clock tick: every lane runs Algorithms 1 and 2, the
+   outcomes are applied, then each lane's partition is driven — unless
+   applying an outcome halted the module, which freezes the partitions
+   from the halt tick on. *)
 let step t =
-  match t.halt_reason with
-  | Some _ -> ()
-  | None -> (
-    match t.lane with
-    | Lane.Single pmk -> step_single t pmk
-    | Lane.Multi mc -> step_multi t mc)
+  if Option.is_none t.halt_reason then begin
+    let outcomes = Pmk_mc.tick t.lane in
+    for core = 0 to Array.length outcomes - 1 do
+      apply_outcome t ~primary:(core = 0) outcomes.(core)
+    done;
+    (match t.telemetry with
+    | Some tel -> Air_obs.Telemetry.on_tick_idx tel ~active:(occupant t)
+    | None -> ());
+    (match t.contention with
+    | Some c -> contention_rollover t c
+    | None -> ());
+    let actives = Pmk_mc.active_partitions t.lane in
+    for core = 0 to Array.length actives - 1 do
+      match actives.(core) with
+      | Some pid when Option.is_none t.halt_reason ->
+        (* Lane-local charging: every shared-resource touch made while
+           this core's partition is driven debits this lane's account. *)
+        (match t.contention with
+        | Some c -> Contention.set_lane c core
+        | None -> ());
+        drive_partition t (prt_of t pid) ~elapsed:outcomes.(core).Pmk.elapsed
+      | Some _ | None -> ()
+    done
+  end
 
 let run t ~ticks =
   for _ = 1 to ticks do
@@ -246,7 +233,7 @@ let run t ~ticks =
 
 let run_mtfs t n =
   for _ = 1 to n do
-    let pmk = Lane.primary t.lane in
+    let pmk = Pmk_mc.core t.lane 0 in
     let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
     let mtf = current.Schedule.mtf in
     (* Ticks executed within the running MTF; 0 exactly at a boundary. *)
@@ -306,17 +293,10 @@ let rec lanes_quiescent t actives n i =
 
 let quiescent t =
   (* Probed once per executive tick while skip-ahead hunts for a span, so
-     it must not allocate: the single-core case reads the scheduler's
-     field directly and the multicore case scans the reused actives
-     buffer via a top-level loop. *)
-  match t.lane with
-  | Lane.Single pmk -> (
-    match Pmk.active_partition pmk with
-    | None -> true
-    | Some pid -> prt_quiescent t (prt_of t pid))
-  | Lane.Multi mc ->
-    let actives = Pmk_mc.active_partitions mc in
-    lanes_quiescent t actives (Array.length actives) 0
+     it must not allocate: it scans the lanes' actives buffer via a
+     top-level loop. *)
+  let actives = Pmk_mc.active_partitions t.lane in
+  lanes_quiescent t actives (Array.length actives) 0
 
 (* The next tick at which a currently-active partition becomes interesting
    again: a blocked process' wake/release instant, or the tick after its
@@ -345,14 +325,8 @@ let rec lanes_event_bound t actives n i acc =
     lanes_event_bound t actives n (i + 1) acc
 
 let next_partition_event t =
-  match t.lane with
-  | Lane.Single pmk -> (
-    match Pmk.active_partition pmk with
-    | None -> Time.infinity
-    | Some pid -> prt_event_bound t pid Time.infinity)
-  | Lane.Multi mc ->
-    let actives = Pmk_mc.active_partitions mc in
-    lanes_event_bound t actives (Array.length actives) 0 Time.infinity
+  let actives = Pmk_mc.active_partitions t.lane in
+  lanes_event_bound t actives (Array.length actives) 0 Time.infinity
 
 (* Batch-advance the global clock across a quiet span. The caller (the
    executive) guarantees [quiescent] holds and that no lane preemption,
@@ -361,28 +335,20 @@ let next_partition_event t =
    per-tick steps. *)
 let skip t ~ticks =
   if ticks > 0 then begin
-    Lane.skip t.lane ~ticks;
-    match t.lane with
-    | Lane.Multi _ -> (
-      (* Mirror of the combined occupancy sample in [step_multi]. *)
-      match t.telemetry with
-      | Some tel ->
-        Air_obs.Telemetry.on_ticks_idx tel
-          ~active:
-            (match Lane.combined_active t.lane with
-            | Some p -> Partition_id.index p
-            | None -> -1)
-          ~count:ticks
-      | None -> ())
-    | Lane.Single _ -> ()
+    Pmk_mc.skip t.lane ~ticks;
+    (* Mirror of the combined occupancy sample in [step]. *)
+    match t.telemetry with
+    | Some tel ->
+      Air_obs.Telemetry.on_ticks_idx tel ~active:(occupant t) ~count:ticks
+    | None -> ()
   end
 
 (* --- Observation -------------------------------------------------------- *)
 
 let trace t = t.trace
 let lane t = t.lane
-let pmk t = Lane.primary t.lane
-let cores t = Lane.core_count t.lane
+let pmk t = Pmk_mc.core t.lane 0
+let cores t = Pmk_mc.core_count t.lane
 let hm t = t.hm
 let router t = t.router
 let protection t = t.protection
@@ -538,7 +504,7 @@ let stop_process t pid ~name =
       | Error e -> Error (Format.asprintf "%a" Kernel.pp_op_error e))
 
 let request_schedule t id =
-  match Lane.request_schedule_switch t.lane id with
+  match Pmk_mc.request_schedule_switch t.lane id with
   | Ok () ->
     emit t (Event.Schedule_switch_request { by = None; target = id });
     Ok ()
@@ -597,7 +563,7 @@ let inject_memory_access t pid ~access ~address =
     (* Attribute the injected touch to the lane the partition currently
        occupies (lane 0 if it is not holding a core). *)
     Contention.set_lane c
-      (match Lane.active_lane_of t.lane pid with Some l -> l | None -> 0);
+      (match Pmk_mc.active_lane_of t.lane pid with Some l -> l | None -> 0);
     charge_shared_access t prt ~cost);
   let granted = match result with Ok () -> true | Error _ -> false in
   emit t (Event.Memory_access { partition = pid; address; granted });
@@ -625,7 +591,7 @@ let inject_bandwidth_hog t pid ~permille =
       let pi = Partition_id.index pid in
       let cost = Stdlib.max 1 (Contention.budget c pi * permille / 1000) in
       Contention.set_lane c
-        (match Lane.active_lane_of t.lane pid with Some l -> l | None -> 0);
+        (match Pmk_mc.active_lane_of t.lane pid with Some l -> l | None -> 0);
       charge_shared_access t prt ~cost;
       Some cost
     end

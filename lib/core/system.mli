@@ -109,12 +109,12 @@ type config = Runtime.config = {
           the raw material for Chrome flow arrows and the
           {!Air_vitral.Flows} latency view. [None] disables stamping. *)
   cores : int option;
-      (** [Some n] with [n > 1] shards every scheduling table over [n]
-          processor cores ({!Air_model.Multicore.shard}, original window
-          offsets preserved) and drives one PMK lane per core off the
-          global clock ({!Pmk_mc}); mode-based schedule switches are
-          broadcast to every lane. [None] or [Some 1] keeps the
-          single-core executive. *)
+      (** [Some n] shards every scheduling table over [n] processor cores
+          ({!Air_model.Multicore.shard}, original window offsets
+          preserved) and drives one PMK lane per core off the global
+          clock; mode-based schedule switches are broadcast to every
+          lane. [None] means [Some 1]: every module runs on one
+          {!Pmk_mc}, a single-core module on its one-core case. *)
   contention : Contention.config option;
       (** Shared-resource contention model: per-partition memory-bandwidth
           budgets per MTF window, a decayed cache-pressure score and a
@@ -147,7 +147,9 @@ val config :
 type t = Runtime.t
 
 val create : config -> t
-(** Validates schedules ({!Air_model.Validate.validate_set}), the port
+(** Validates the core count (positive), the schedules sharded over the
+    cores ({!Air_model.Multicore.validate}, then
+    {!Air_model.Validate.validate_set} on every lane's view), the port
     network ({!Air_ipc.Port.validate}) and memory maps; raises
     [Invalid_argument] with the first diagnostic otherwise. Partitions boot
     in their configured initial mode (ARINC 653 default: cold start) and
@@ -170,7 +172,7 @@ val halted : t -> string option
 (** {1 Quiescence and skip-ahead}
 
     The probes the [Air_exec] executive combines with
-    {!Lane.next_preemption_tick} to advance the module across quiet spans
+    {!Pmk_mc.next_preemption_tick} to advance the module across quiet spans
     in O(1) while staying bit-identical to per-tick execution. *)
 
 val quiescent : t -> bool
@@ -200,15 +202,15 @@ val skip : t -> ticks:int -> unit
 
 val trace : t -> Event.t Trace.t
 
-val lane : t -> Lane.t
-(** The PMK lane(s) driving the module — single- or multicore. *)
+val lane : t -> Pmk_mc.t
+(** The PMK executive driving the module: one lane per core, 1..N. *)
 
 val pmk : t -> Pmk.t
-(** The primary lane's scheduler (lane 0 under multicore) — the one that
-    owns metrics, recorder spans and telemetry frames. *)
+(** Lane 0's scheduler — the one that owns metrics, recorder spans and
+    telemetry frames. *)
 
 val cores : t -> int
-(** Number of processor cores (lanes); 1 for the single-core executive. *)
+(** Number of processor cores (lanes), at least 1. *)
 
 val hm : t -> Hm.t
 val router : t -> Router.t

@@ -76,7 +76,7 @@ let halted t = Option.is_some (System.halted t.system)
    established quiescence. *)
 let probe_raw t ~remaining =
   t.stats.probes <- t.stats.probes + 1;
-  let now = Lane.ticks (System.lane t.system) in
+  let now = Pmk_mc.ticks (System.lane t.system) in
   let until = Clock.horizon ~now ~remaining in
   let next = Clock.next_interesting t.system ~until in
   let span = Stdlib.min (next - 1 - now) remaining in

@@ -62,8 +62,13 @@ let core_view t ~core =
           windows)
       t.change_actions
   in
-  Schedule.make ~change_actions:actions ~id:t.id
-    ~name:(Printf.sprintf "%s#%d" t.name core)
+  (* A one-core table's only lane keeps the table's own name, so a
+     single-core module's recorder spans and timeline read as the
+     document does. *)
+  let name =
+    if core_count t = 1 then t.name else Printf.sprintf "%s#%d" t.name core
+  in
+  Schedule.make ~change_actions:actions ~id:t.id ~name
     ~mtf:t.mtf
     ~requirements:
       (List.map

@@ -41,7 +41,7 @@ val core_count : t -> int
 
 val core_view : t -> core:int -> Schedule.t
 (** The single-core projection: this core's windows with the same id, name
-    (suffixed [#core]) and MTF. Partition requirements are projected with
+    (suffixed [#core] unless the table has one core) and MTF. Partition requirements are projected with
     zero duration — the real requirement is a whole-table property checked
     by {!validate}. The view drives one {!Air.Pmk}-style scheduler per
     core. *)

@@ -82,7 +82,17 @@ let core_view_projection () =
      validator does not re-impose eq. (23) per lane. *)
   check Alcotest.int "view valid" 0 (List.length (Validate.validate view1));
   check Alcotest.bool "P1 absent from core 1" true
-    (Option.is_none (Schedule.requirement_for view1 (pid 0)))
+    (Option.is_none (Schedule.requirement_for view1 (pid 0)));
+  check Alcotest.string "lane names carry the core" "duo#1"
+    view1.Schedule.name;
+  (* One core: the lane is the table itself and keeps its name. *)
+  let solo =
+    Multicore.make ~id:(sid 0) ~name:"solo" ~mtf:100
+      ~requirements:[ q (pid 0) 100 100 ]
+      [ [ w (pid 0) 0 100 ] ]
+  in
+  check Alcotest.string "one-core view keeps the name" "solo"
+    (Multicore.core_view solo ~core:0).Schedule.name
 
 let utilization_across_cores () =
   check (Alcotest.float 1e-9) "duo utilization" 2.0 (Multicore.utilization duo);

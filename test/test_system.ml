@@ -119,8 +119,8 @@ let prototype_activity_matches_pst () =
 
 (* --- Health-monitoring recovery actions --------------------------------- *)
 
-let simple_system ?(hm_tables = Hm.default_tables) ?script ?(capacity = 40)
-    () =
+let simple_system ?(hm_tables = Hm.default_tables) ?telemetry ?cores ?script
+    ?(capacity = 40) () =
   let script =
     Option.value script
       ~default:(Script.periodic_body [ Script.Compute 60 ])
@@ -138,7 +138,7 @@ let simple_system ?(hm_tables = Hm.default_tables) ?script ?(capacity = 40)
       [ w (pid 0) 0 100 ]
   in
   System.create
-    (System.config ~hm_tables
+    (System.config ~hm_tables ?telemetry ?cores
        ~partitions:[ System.partition_setup p [ script ] ]
        ~schedules:[ schedule ] ())
 
@@ -265,7 +265,78 @@ let hm_module_shutdown () =
   check Alcotest.bool "halted" true (System.halted s <> None);
   let before = System.now s in
   System.run s ~ticks:50;
-  check Alcotest.int "clock frozen after halt" before (System.now s)
+  check Alcotest.int "clock frozen after halt" before (System.now s);
+  (* A halt raised by the tick itself — the watchdog judging the first
+     closed frame — freezes the partitions from the halt tick on, at
+     every core count: the partition holding a core on that tick is not
+     driven, so no partition-level record follows the halt. *)
+  let tables =
+    { Hm.default_tables with
+      Hm.module_actions =
+        [ (Error.Temporal_degradation, Error.Module_shutdown) ] }
+  and telemetry =
+    Air_obs.Telemetry.config
+      ~default_watchdog:(Air_obs.Telemetry.watchdog ~min_slack:100_000 ())
+      ()
+  in
+  let partition_level = function
+    | Event.Partition_mode_change _ | Event.Process_state_change _
+    | Event.Process_dispatched _ | Event.Deadline_registered _
+    | Event.Deadline_unregistered _ | Event.Deadline_violation _
+    | Event.Port_send _ | Event.Port_receive _ | Event.Port_overflow _
+    | Event.Memory_access _ | Event.Application_output _ ->
+      true
+    | _ -> false
+  in
+  let rec after_halt = function
+    | [] -> Alcotest.fail "no halt record"
+    | (_, Event.Module_halt _) :: rest -> rest
+    | _ :: rest -> after_halt rest
+  in
+  List.iter
+    (fun cores ->
+      let s =
+        simple_system ~hm_tables:tables ~telemetry ~cores ~capacity:1000 ()
+      in
+      System.run s ~ticks:300;
+      check Alcotest.bool "halted by the watchdog" true
+        (System.halted s <> None);
+      check Alcotest.int
+        (Printf.sprintf "cores %d: partition-level records after the halt"
+           cores)
+        0
+        (List.length
+           (List.filter
+              (fun (_, ev) -> partition_level ev)
+              (after_halt (Trace.to_list (System.trace s))))))
+    [ 1; 2 ]
+
+(* A core count that bypasses [System.config]'s check through a record
+   update is still refused at creation. *)
+let nonpositive_cores_rejected () =
+  let p =
+    Partition.make ~id:(pid 0) ~name:"SOLO"
+      [ Process.spec ~periodicity:(Process.Periodic 100) ~time_capacity:100
+          ~wcet:10 ~base_priority:5 "idle" ]
+  in
+  let cfg =
+    System.config
+      ~partitions:
+        [ System.partition_setup p
+            [ Script.periodic_body [ Script.Compute 10 ] ] ]
+      ~schedules:
+        [ Schedule.make ~id:(sid 0) ~name:"all" ~mtf:100
+            ~requirements:[ q (pid 0) 100 100 ]
+            [ w (pid 0) 0 100 ] ]
+      ()
+  in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "cores %d" n)
+        (Invalid_argument "System.create: core count must be positive")
+        (fun () -> ignore (System.create { cfg with System.cores = Some n })))
+    [ 0; -2 ]
 
 (* --- Memory access through scripts --------------------------------------- *)
 
@@ -515,6 +586,8 @@ let suite =
     Alcotest.test_case "hm: partition restart on memory violation" `Quick
       hm_partition_restart_on_memory_violation;
     Alcotest.test_case "hm: module shutdown" `Quick hm_module_shutdown;
+    Alcotest.test_case "create: non-positive core count rejected" `Quick
+      nonpositive_cores_rejected;
     Alcotest.test_case "memory: legitimate access granted" `Quick
       legitimate_memory_access_granted;
     Alcotest.test_case "generic partition coexists" `Quick
