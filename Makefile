@@ -36,19 +36,42 @@ fmt:
 	  echo 'fmt: tabs or trailing whitespace (listed above)'; exit 1; \
 	else echo 'fmt: clean'; fi
 
-# End-to-end executive pass: the example module sharded over two cores,
-# advanced once under the skip-ahead executive and once per-tick with the
-# telemetry exports compared byte for byte; then the document's seeded
-# fault campaigns through the multicore skip-ahead executive (containment
-# and reproducibility enforced by the exit code).
+# End-to-end executive pass: the example module on one and on two cores,
+# advanced once under the skip-ahead executive and once per-tick with every
+# export (telemetry, Chrome trace, metrics) compared byte for byte; then
+# the document's seeded fault campaigns through the multicore skip-ahead
+# executive (containment and reproducibility enforced by the exit code);
+# finally out-of-range run flags must be refused with a diagnostic and a
+# nonzero exit, never an uncaught exception.
+EXEC_SMOKE_BAD = \
+  "examples/configs/leo_satellite.air --ticks=-5" \
+  "examples/configs/leo_satellite.air --ticks=-5 --faults" \
+  "examples/configs/constellation.air --fleet --domains 0"
+
 exec-smoke:
-	dune exec bin/air_run.exe -- examples/configs/leo_satellite.air \
-	  --cores 2 -t 20000 --speed --telemetry-json /tmp/air_exec_skip.json
-	dune exec bin/air_run.exe -- examples/configs/leo_satellite.air \
-	  --cores 2 -t 20000 --no-skip --telemetry-json /tmp/air_exec_ref.json
-	cmp /tmp/air_exec_skip.json /tmp/air_exec_ref.json
+	set -e; for c in 1 2; do \
+	  for run in skip ref; do \
+	    if [ $$run = ref ]; then mode=--no-skip; else mode=--speed; fi; \
+	    dune exec bin/air_run.exe -- examples/configs/leo_satellite.air \
+	      --cores $$c -t 20000 $$mode \
+	      --telemetry-json /tmp/air_exec_$$run.telemetry.json \
+	      --trace-json /tmp/air_exec_$$run.trace.json \
+	      --metrics-json /tmp/air_exec_$$run.metrics.json > /dev/null; \
+	  done; \
+	  for export in telemetry trace metrics; do \
+	    cmp /tmp/air_exec_skip.$$export.json /tmp/air_exec_ref.$$export.json; \
+	  done; \
+	  echo "exec-smoke: --cores $$c exports identical"; \
+	done
 	dune exec bin/air_run.exe -- examples/configs/leo_satellite.air \
 	  --faults --cores 2 --campaign-json /tmp/air_exec_campaign.json
+	for bad in $(EXEC_SMOKE_BAD); do \
+	  if dune exec bin/air_run.exe -- $$bad 2> /tmp/air_exec_bad.err; then \
+	    echo "exec-smoke: accepted $$bad"; exit 1; fi; \
+	  if grep -qi exception /tmp/air_exec_bad.err; then \
+	    cat /tmp/air_exec_bad.err; exit 1; fi; \
+	  echo "exec-smoke: refused $$bad"; \
+	done
 
 # End-to-end flight-recorder pass: run an example configuration with the
 # recorder attached, export the Chrome trace and replay-check the event

@@ -771,8 +771,9 @@ let exec_tests =
         (advance ~mode:Air_exec.Engine.Adaptive config ~ticks) ]
   in
   let beacon = beacon_config ~mtf:10_000 ~work:50 in
-  (* Fully dense: the beacon computes on every tick of every frame, so no
-     span is ever skippable and any skip-ahead overhead is pure loss. *)
+  (* Fully busy: the beacon computes on every tick of every frame. One
+     long computation per frame, so it is a busy span the executive skips
+     down to a few stepped ticks per frame, not a dense workload. *)
   let dense_beacon = beacon_config ~mtf:10_000 ~work:9_999 in
   let sparse, sparse_mtf = taskgen_config ~utilization:0.1 7 in
   let dense, dense_mtf = taskgen_config ~utilization:0.9 7 in

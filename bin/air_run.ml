@@ -240,8 +240,17 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     =
   let turbo = not no_skip in
   let cores_n = Option.value cores ~default:1 in
+  let domains_n = Option.value domains ~default:1 in
   if cores_n <= 0 then begin
     Format.eprintf "%s: --cores must be positive (got %d)@." path cores_n;
+    1
+  end
+  else if ticks < 0 then begin
+    Format.eprintf "%s: --ticks must be non-negative (got %d)@." path ticks;
+    1
+  end
+  else if domains_n <= 0 then begin
+    Format.eprintf "%s: --domains must be positive (got %d)@." path domains_n;
     1
   end
   else if (fleet || domains <> None) && not (is_fleet_document path) then begin

@@ -153,7 +153,7 @@ let rec exec_loop t prt q task body on_end consumed actions =
           task.compute_left <- task.compute_left - 1;
           (* Cache pressure of a busy core: charged per consumed compute
              tick when the contention model prices computation. *)
-          charge_compute_tick t prt;
+          charge_compute_ticks t prt ~ticks:1;
           if task.compute_left = 0 then begin
             task.pc <- task.pc + 1;
             exec_loop t prt q task body on_end true actions

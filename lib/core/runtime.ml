@@ -362,12 +362,14 @@ let charge_shared_access t prt ~cost =
              "memory-bandwidth budget blown: window demand %d > budget %d"
              (Contention.demand c pi) (Contention.budget c pi))
 
-let charge_compute_tick t prt =
+(* [ticks] consumed compute ticks as one charge: the executive's per-tick
+   path passes 1, a busy-span skip the whole span. *)
+let charge_compute_ticks t prt ~ticks =
   match t.contention with
   | None -> ()
   | Some c ->
     let cost = (Contention.configuration c).Contention.compute_cost in
-    if cost > 0 then charge_shared_access t prt ~cost
+    if cost > 0 then charge_shared_access t prt ~cost:(ticks * cost)
 
 let report_module_error t code ~detail =
   emit t

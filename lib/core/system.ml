@@ -5,7 +5,7 @@
    (Algorithm 3), runs the heir process, and exposes observation,
    intervention and fault-injection surfaces. It also provides the
    quiescence and next-event probes the [Air_exec] executive uses for O(1)
-   idle skip-ahead. *)
+   skip-ahead across idle and mid-compute spans. *)
 
 open Air_sim
 open Air_model
@@ -260,22 +260,48 @@ let halted t = t.halt_reason
 (* --- Quiescence and skip-ahead (the [Air_exec] executive) --------------- *)
 
 (* A span of ticks is quiet — skippable without observable difference —
-   when every partition currently holding a core would do nothing under
-   per-tick execution: normal mode with no schedulable process, no
-   pending clock-jitter bookkeeping and no owed interference stall, or
-   parked in idle mode. Partitions not holding a core are never driven
-   per-tick, so they cannot constrain the span; starting modes initialize
-   at the dispatch tick itself, which is always an event tick. The stall
-   conjunct keeps a partition in slowdown interesting to the executive's
-   clock ([Exec.Clock.next_interesting]); it is trivially true when no
-   contention model is configured, preserving bit-identity. *)
+   when every partition currently holding a core is either idle or
+   mid-compute under per-tick execution. Idle: parked in idle mode, or in
+   normal mode with no schedulable process. Mid-compute: in normal mode
+   its steady heir (the running process the POS is certain to re-pick,
+   {!Kernel.steady_heir}) sits inside a [Compute] with at least two ticks
+   left and no mailbox delivery to consume, so each tick only decrements
+   [compute_left] and charges the compute cost. Either way the partition
+   must owe no clock-jitter bookkeeping and no interference stall (a
+   partition in slowdown burns real window ticks). Partitions not holding
+   a core are never driven per-tick, so they cannot constrain the span;
+   starting modes initialize at the dispatch tick itself, which is always
+   an event tick. *)
+
+(* The running process a normal-mode partition would keep computing on
+   every next tick, or -1. State-only: whether the span's compute charges
+   are safe is [compute_headroom]'s question. *)
+let computing_heir prt =
+  let q = Kernel.steady_heir prt.kernel in
+  if
+    q >= 0
+    && prt.tasks.(q).compute_left >= 2
+    && not (Intra.has_delivery prt.intra ~process:q)
+  then q
+  else -1
+
+(* How many compute ticks the partition can consume before a charge could
+   blow its budget or arm the stall curve ([max_int] when computation is
+   free or no contention model is configured). *)
+let compute_headroom t prt =
+  match t.contention with
+  | None -> max_int
+  | Some c ->
+    Contention.safe_charges c
+      ~partition:(Partition_id.index prt.setup.partition.Partition.id)
+      ~cost:(Contention.configuration c).Contention.compute_cost
+
 let prt_quiescent t prt =
   match prt.mode with
   | Partition.Idle -> true
   | Partition.Cold_start | Partition.Warm_start -> false
   | Partition.Normal ->
     prt.jitter_left = 0 && prt.jitter_deferred = 0
-    && (not (Kernel.has_schedulable prt.kernel))
     && (match t.contention with
        | None -> true
        | Some c ->
@@ -283,6 +309,8 @@ let prt_quiescent t prt =
            (Contention.stall_pending c
               ~partition:
                 (Partition_id.index prt.setup.partition.Partition.id)))
+    && ((not (Kernel.has_schedulable prt.kernel))
+       || (computing_heir prt >= 0 && compute_headroom t prt >= 1))
 
 let rec lanes_quiescent t actives n i =
   i >= n
@@ -301,18 +329,29 @@ let quiescent t =
 (* The next tick at which a currently-active partition becomes interesting
    again: a blocked process' wake/release instant, or the tick after its
    earliest PAL deadline (verification pops deadlines strictly before
-   [now], so a deadline [d] first raises a violation at [d + 1]).
-   Inactive partitions report through their next dispatch, which the
-   lane's preemption table already bounds. [Time.add] saturates at
-   infinity, so an empty deadline store contributes no bound. *)
+   [now], so a deadline [d] first raises a violation at [d + 1]). A
+   mid-compute partition is also interesting at the tick that consumes its
+   last compute tick, and at the one that would take its charges past the
+   safe headroom. Inactive partitions report through their next dispatch,
+   which the lane's preemption table already bounds. [Time.add] saturates
+   at infinity, so an empty deadline store contributes no bound. *)
 let prt_event_bound t pid acc =
   let prt = prt_of t pid in
   match prt.mode with
   | Partition.Idle | Partition.Cold_start | Partition.Warm_start -> acc
   | Partition.Normal ->
-    Time.min
-      (Time.min acc (Time.add (Pal.min_deadline prt.pal) 1))
-      (Kernel.next_wake prt.kernel)
+    let acc =
+      Time.min
+        (Time.min acc (Time.add (Pal.min_deadline prt.pal) 1))
+        (Kernel.next_wake prt.kernel)
+    in
+    let q = computing_heir prt in
+    if q < 0 then acc
+    else begin
+      let left = prt.tasks.(q).compute_left in
+      let safe = compute_headroom t prt in
+      Time.min acc (now t + if safe >= left then left else safe + 1)
+    end
 
 let rec lanes_event_bound t actives n i acc =
   if i >= n then acc
@@ -331,10 +370,29 @@ let next_partition_event t =
 (* Batch-advance the global clock across a quiet span. The caller (the
    executive) guarantees [quiescent] holds and that no lane preemption,
    partition event, telemetry frame boundary or injection falls inside the
-   span; under that contract the lane skip is bit-identical to [ticks]
-   per-tick steps. *)
+   span; under that contract the skip is bit-identical to [ticks] per-tick
+   steps. Each mid-compute partition progresses its computation by
+   [ticks] and makes one [ticks]-sized compute charge (accounts are
+   additive and the span stays within the safe headroom), debiting its
+   lane as [step] does. *)
 let skip t ~ticks =
   if ticks > 0 then begin
+    let actives = Pmk_mc.active_partitions t.lane in
+    for core = 0 to Array.length actives - 1 do
+      match actives.(core) with
+      | None -> ()
+      | Some pid ->
+        let prt = prt_of t pid in
+        let q = computing_heir prt in
+        if q >= 0 then begin
+          let task = prt.tasks.(q) in
+          task.compute_left <- task.compute_left - ticks;
+          (match t.contention with
+          | Some c -> Contention.set_lane c core
+          | None -> ());
+          charge_compute_ticks t prt ~ticks
+        end
+    done;
     Pmk_mc.skip t.lane ~ticks;
     (* Mirror of the combined occupancy sample in [step]. *)
     match t.telemetry with

@@ -2,7 +2,10 @@ open Air_sim
 open Air
 
 (* The next *interesting* tick of a module: the earliest future instant at
-   which per-tick execution could do anything beyond advancing the clock.
+   which per-tick execution could do anything beyond advancing the clock
+   and the running computations. A quiet span is one where every partition
+   holding a core is idle or mid-compute; a busy span costs only compute
+   progress plus one batched contention charge ({!Air.System.skip}).
    Everything the per-tick executive reacts to is covered by three
    sources:
 
@@ -13,8 +16,9 @@ open Air
      boundary;
    - the active partitions' own pending events
      ({!Air.System.next_partition_event}): a blocked process' wake,
-     timeout or periodic release, or the tick after the earliest PAL
-     deadline;
+     timeout or periodic release, the tick after the earliest PAL
+     deadline, or the tick that ends a running computation or its safe
+     contention headroom;
    - the caller's horizon [until] (end of run, next fault injection, next
      watch refresh), which bounds the span externally.
 
@@ -36,9 +40,9 @@ let horizon ~now ~remaining =
   else now + remaining + 1
 
 (* Whether the instants strictly between now and [next] can be skipped:
-   nothing is due in the open interval, and the module is quiescent (no
-   schedulable process, no jitter bookkeeping, no partition initializing
-   on a held core, and no contention stall debt left to serve — a
-   partition in interference slowdown is burning real window ticks, so
-   its span is interesting and must run per-tick). *)
+   nothing is due in the open interval, and the module is quiescent (every
+   held core idle or mid-compute, no jitter bookkeeping, no partition
+   initializing on a held core, and no contention stall debt left to
+   serve — a partition in interference slowdown is burning real window
+   ticks, so its span is interesting and must run per-tick). *)
 let span_quiet system = System.quiescent system

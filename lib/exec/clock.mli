@@ -15,7 +15,8 @@ val next_interesting : Air.System.t -> until:Time.t -> Time.t
     telemetry frame closes, mode-based schedule switches and change
     actions), the active partitions' pending events (blocked-process
     wake/timeout/release instants, the tick after the earliest PAL
-    deadline) and the caller's horizon [until] (end of run, next fault
+    deadline, the end of a running computation or of its safe contention
+    headroom) and the caller's horizon [until] (end of run, next fault
     injection, next watch refresh). *)
 
 val horizon : now:Time.t -> remaining:int -> Time.t
@@ -26,7 +27,8 @@ val horizon : now:Time.t -> remaining:int -> Time.t
 
 val span_quiet : Air.System.t -> bool
 (** Whether the instants strictly before the next interesting tick can be
-    skipped — an alias for {!Air.System.quiescent}. A partition serving
+    skipped — an alias for {!Air.System.quiescent}: every partition
+    holding a core is idle or mid-compute. A partition serving
     contention stall debt (interference slowdown) is {e not} quiescent:
     its extra consumed window ticks execute through the per-tick path, so
     skip-ahead never jumps over a throttled span. *)

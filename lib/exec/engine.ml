@@ -14,7 +14,8 @@ type t = {
   stats : stats;
   (* Adaptive state: [density] is a fixed-point (scale 256) EWMA of how
      "interesting" recent ticks were — 256 means every evaluated tick did
-     work or could not be skipped, 0 means long quiet spans. While the
+     observable work or could not be skipped, 0 means long quiet spans
+     (idle, or a process merely computing: busy spans skip too). While the
      estimate sits above [dense_threshold] the engine stops probing
      [Clock.next_interesting] and runs blind per-tick batches of [blind]
      ticks (doubling up to [blind_max]), so a dense workload pays the

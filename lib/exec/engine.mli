@@ -3,15 +3,17 @@
     execution.
 
     The per-tick executive pays one {!Air.System.step} per clock tick even
-    when nothing can happen — no schedulable process, no pending wake or
+    when nothing can happen beyond the clock and the running computations
+    advancing — every held core idle or mid-compute, no pending wake or
     deadline, no window edge. [Engine] executes every interesting tick
     through the unchanged per-tick path and collapses each provably-quiet
-    span in between into a single batch clock update
-    ({!Air.System.skip}), so sparse workloads advance at the cost of their
-    event density rather than their horizon.
+    span in between into a single batch update ({!Air.System.skip}), so
+    workloads advance at the cost of their event density rather than
+    their horizon — a process in a long computation is not dense.
 
-    Always-on skipping has a dual cost: on a {e dense} workload (some
-    process runnable nearly every tick) the per-tick probe of
+    Always-on skipping has a dual cost: on a {e dense} workload (something
+    observable due nearly every tick — a computation ending, a service
+    call, a stall tick) the per-tick probe of
     {!Clock.next_interesting} buys nothing and is pure overhead. The
     default {!Adaptive} mode tracks an EWMA estimate of interesting-tick
     density, probes only while the workload looks sparse, and runs blind

@@ -298,6 +298,8 @@ let take_delivery t ~process =
   t.mailboxes.(process) <- None;
   msg
 
+let has_delivery t ~process = Option.is_some t.mailboxes.(process)
+
 let clear_mailboxes t =
   Array.fill t.mailboxes 0 (Array.length t.mailboxes) None;
   Array.fill t.pending_sends 0 (Array.length t.pending_sends) None

@@ -125,6 +125,10 @@ val take_delivery : t -> process:int -> bytes option
     or blackboard read satisfied by a later send/display). Reading clears
     the mailbox. *)
 
+val has_delivery : t -> process:int -> bool
+(** Whether a delivered message waits in the process' mailbox, i.e.
+    whether {!take_delivery} would return [Some _]. Non-destructive. *)
+
 val deliver : t -> process:int -> bytes -> unit
 (** Deposit a message in the process' mailbox — used by the system layer
     when a queuing-port message satisfies a blocked receiver. The bytes are

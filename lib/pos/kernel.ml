@@ -467,6 +467,25 @@ let schedule_idx t ~now:_ =
 let schedule t ~now =
   match schedule_idx t ~now with -1 -> None | q -> Some q
 
+(* The choice [schedule_idx] is certain to repeat with no side effect:
+   the lock holder, or the priority heir, when it is already the running
+   process and carries no timed-out flag for the next tick to consume.
+   Round-robin is excluded because every pick moves its quantum. *)
+let steady_heir t =
+  let choice =
+    match (t.lock_holder, t.policy) with
+    | Some h, _ when schedulable t h -> h
+    | _, Priority_preemptive -> heir_priority t
+    | _, Round_robin _ -> -1
+  in
+  if choice < 0 then -1
+  else
+    let p = t.pcbs.(choice) in
+    match p.state with
+    | Process.Running when not p.timed_out -> choice
+    | Process.Running | Process.Ready | Process.Dormant | Process.Waiting ->
+      -1
+
 let stop_all t =
   t.lock_holder <- None;
   t.lock_level <- 0;

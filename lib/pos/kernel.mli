@@ -147,6 +147,14 @@ val schedule : t -> now:Time.t -> int option
 (** {!schedule_idx} with the heir boxed as an option ([None] = no
     schedulable process). *)
 
+val steady_heir : t -> int
+(** The running process when {!schedule_idx} would re-pick it with no
+    state change: the schedulable preemption-lock holder, or else the
+    {!Priority_preemptive} heir. [-1] under round-robin (every pick moves
+    the quantum), when the choice is not already running, or when its
+    timed-out flag is still to be consumed. Non-destructive and
+    allocation-free — the executive's busy-span probe. *)
+
 (** {1 Preemption locking (ARINC 653 LOCK_PREEMPTION / UNLOCK_PREEMPTION)}
 
     The running process may lock preemption; until it unlocks (the lock

@@ -140,6 +140,34 @@ let charge t ~partition ~cost =
     else false
   end
 
+(* Accounts are additive, so [n] charges of [cost] leave them exactly as
+   one charge of [n * cost] does — as long as no charge in between blows
+   the budget or accrues stall. Both bounds are conservative: the
+   partition's own headroom (unbounded once blown: the signal fires once
+   per window), and, where a curve with a nonzero step could arm, the
+   aggregate headroom shared by every lane charging [cost] at once. *)
+let headroom_charges ~limit ~used ~per_charge =
+  if used >= limit then 0 else (limit - used) / per_charge
+
+let safe_charges t ~partition ~cost =
+  if cost <= 0 then max_int
+  else begin
+    let own =
+      if t.blown.(partition) then max_int
+      else
+        headroom_charges ~limit:t.budgets.(partition)
+          ~used:t.demand.(partition) ~per_charge:cost
+    in
+    let lanes = Array.length t.lane_demand in
+    if lanes < 2 || t.max_step = 0 then own
+    else
+      let shared =
+        headroom_charges ~limit:t.aggregate_budget ~used:t.total_demand
+          ~per_charge:(cost * lanes)
+      in
+      if shared < own then shared else own
+  end
+
 let stall_pending t ~partition = t.stall.(partition) > 0
 
 let consume_stall t ~partition =

@@ -94,6 +94,14 @@ val charge : t -> partition:int -> cost:int -> bool
     account over its budget (the executive's cue to escalate through the
     Health Monitor). *)
 
+val safe_charges : t -> partition:int -> cost:int -> int
+(** How many further charges of [cost] to the partition provably neither
+    blow its budget nor, with [>= 2] lanes and a curve that can stall,
+    push the aggregate account past the aggregate budget — even if every
+    lane charges [cost] alongside. Within that many, a run of charges
+    leaves every account exactly as one charge of their sum does.
+    [max_int] when [cost <= 0]. Allocation-free. *)
+
 val stall_pending : t -> partition:int -> bool
 val consume_stall : t -> partition:int -> unit
 (** Consumes one owed stall tick (the executive calls it in place of a

@@ -120,6 +120,37 @@ let curve_steps_with_overage () =
   ignore (Contention.charge c ~partition:1 ~cost:5);
   check Alcotest.int "high overage, big step" 4 (Contention.stall_debt c 1)
 
+(* The busy-span bound: charges that can neither blow the partition's
+   budget nor, with a stalling curve on >= 2 lanes, overrun the aggregate
+   even if every lane charges alongside. *)
+let safe_charges_bound () =
+  let one_lane =
+    Contention.create ~partitions:2 ~lanes:1
+      (Contention.config ~default_budget:10 ())
+  in
+  check Alcotest.int "free computation is unbounded" max_int
+    (Contention.safe_charges one_lane ~partition:0 ~cost:0);
+  check Alcotest.int "own headroom" 5
+    (Contention.safe_charges one_lane ~partition:0 ~cost:2);
+  ignore (Contention.charge one_lane ~partition:0 ~cost:9);
+  check Alcotest.int "headroom shrinks with demand" 0
+    (Contention.safe_charges one_lane ~partition:0 ~cost:2);
+  ignore (Contention.charge one_lane ~partition:0 ~cost:2);
+  check Alcotest.int "a blown budget cannot blow again" max_int
+    (Contention.safe_charges one_lane ~partition:0 ~cost:2);
+  let two_lanes curve =
+    Contention.create ~partitions:2 ~lanes:2
+      (Contention.config ~default_budget:10 ~curve ())
+  in
+  check Alcotest.int "aggregate headroom shared by both lanes" 5
+    (Contention.safe_charges (two_lanes [ (0, 1) ]) ~partition:0 ~cost:2);
+  check Alcotest.int "a curve that never stalls leaves the own bound" 5
+    (Contention.safe_charges (two_lanes [ (0, 0) ]) ~partition:0 ~cost:2);
+  let c = two_lanes [ (0, 1) ] in
+  ignore (Contention.charge c ~partition:1 ~cost:21);
+  check Alcotest.int "aggregate overrun leaves no safe charge" 0
+    (Contention.safe_charges c ~partition:0 ~cost:1)
+
 let pressure_decays_across_windows () =
   let cfg =
     Contention.config ~default_budget:100 ~pressure_decay_permille:500 ()
@@ -492,6 +523,8 @@ let suite =
       curve_requires_two_busy_lanes;
     Alcotest.test_case "curve steps with overage" `Quick
       curve_steps_with_overage;
+    Alcotest.test_case "safe charges bound a batched compute charge" `Quick
+      safe_charges_bound;
     Alcotest.test_case "pressure decays across windows" `Quick
       pressure_decays_across_windows;
     Alcotest.test_case "no leak across windows" `Quick no_leak_across_windows;

@@ -148,16 +148,17 @@ let modes_agree_dense =
 (* --- Dense workloads ----------------------------------------------------- *)
 
 (* A fully dense module: one partition owns the whole 50-tick MTF and its
-   single process computes on every tick, so no tick is ever quiescent and
-   skip-ahead can never engage. *)
-let dense_system ?causal () =
+   single process runs [compute] ticks per activation, on every tick. With
+   [Compute 1] (the default) each tick completes a computation and leaves
+   [compute_left = 0], so no tick is ever quiescent and skip-ahead can
+   never engage; a long computation is a busy span the engine skips. *)
+let dense_system ?causal ?(compute = 1) () =
   let p =
     Partition.make ~id:(pid 0) ~name:"dense"
       [ Process.spec ~base_priority:1 "spin" ]
   in
   let script =
-    { Script.body = [| Script.Compute 1_000_000_000 |];
-      on_end = Script.Repeat }
+    { Script.body = [| Script.Compute compute |]; on_end = Script.Repeat }
   in
   let schedule =
     Schedule.make ~id:(sid 0) ~name:"S" ~mtf:50
@@ -169,11 +170,11 @@ let dense_system ?causal () =
        ~partitions:[ System.partition_setup p [ script ] ]
        ~schedules:[ schedule ] ())
 
-(* The BENCH_5 regression this PR fixes: always-skip paid a
-   [Clock.next_interesting] probe per executed tick on dense workloads.
-   The adaptive default must pay none here — every tick is non-quiescent,
-   so it runs blind batches and never consults the probe — while staying
-   bit-identical to the per-tick reference. *)
+(* The BENCH_5 regression: always-skip paid a [Clock.next_interesting]
+   probe per executed tick on dense workloads. A module with no skippable
+   tick must cost the adaptive default no probe at all — every tick is
+   non-quiescent, so it runs blind batches and never consults the probe —
+   while staying bit-identical to the per-tick reference. *)
 let adaptive_never_probes_when_dense () =
   let reference = dense_system () in
   System.run reference ~ticks:10_000;
@@ -186,6 +187,178 @@ let adaptive_never_probes_when_dense () =
   check Alcotest.int "nothing skipped" 0 stats.Engine.skipped;
   check Alcotest.int "no probes paid" 0 stats.Engine.probes;
   check Alcotest.int "all ticks stepped" 10_000 stats.Engine.stepped
+
+(* A process mid-way through one long computation is busy, not dense:
+   within an MTF only the window's dispatch tick does anything beyond
+   compute progress, so every mode steps at most two ticks per MTF and
+   stays bit-identical to per-tick. *)
+let long_compute_skips_busy_spans () =
+  let ticks = 10_000 in
+  let reference = dense_system ~compute:1_000_000_000 () in
+  System.run reference ~ticks;
+  List.iter
+    (fun (label, mode) ->
+      let engine =
+        Engine.create ~mode (dense_system ~compute:1_000_000_000 ())
+      in
+      Engine.advance engine ~ticks;
+      assert_equivalent ~what:(label ^ ": long compute") reference
+        (Engine.system engine);
+      let stats = Engine.stats engine in
+      check Alcotest.bool
+        (label ^ ": at most two stepped ticks per MTF")
+        true
+        (stats.Engine.stepped <= 2 * (ticks / 50));
+      check Alcotest.int (label ^ ": stepped + skipped") ticks
+        (stats.Engine.stepped + stats.Engine.skipped))
+    [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ]
+
+(* --- Busy spans: what the skip must refuse ------------------------------- *)
+
+(* A small two-partition module whose worker in partition A is mid-compute
+   whenever something interrupts a busy span: a higher-priority timed wake,
+   a queuing message (sent by partition B, or delivered from outside), the
+   worker's own deadline, a compute-cost budget blow (one lane), the stall
+   curve arming (two lanes, windows on different lanes) or a clock-jitter
+   injection. A is round-robin on some seeds, and on others the worker
+   computes while holding the preemption lock. Returns the configuration,
+   the horizon, and the run's injections as (tick, action). *)
+let busy_module ~cores seed =
+  let rs = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int rs (hi - lo + 1) in
+  let a = pid 0 and b = pid 1 in
+  let mtf = int 60 120 in
+  let split = int (mtf / 3) (2 * mtf / 3) in
+  let compute = int 5 (2 * split) in
+  let worker_body =
+    if seed mod 4 = 0 then
+      [ Script.Lock_preemption; Script.Compute compute;
+        Script.Unlock_preemption ]
+    else [ Script.Compute compute ]
+  in
+  let partition_a =
+    Partition.make ~id:a ~name:"A"
+      [ Process.spec ~periodicity:(Process.Periodic mtf)
+          ~time_capacity:(int (compute / 2) (2 * compute))
+          ~base_priority:5 "worker";
+        Process.spec ~base_priority:1 "waker";
+        Process.spec ~base_priority:2 "rx" ]
+  in
+  let partition_b =
+    Partition.make ~id:b ~name:"B"
+      [ Process.spec ~periodicity:(Process.Periodic mtf) ~base_priority:5
+          "tx" ]
+  in
+  let scripts_a =
+    [ Script.periodic_body worker_body;
+      Script.make [ Script.Timed_wait (int 7 40); Script.Compute (int 1 3) ];
+      Script.make
+        [ Script.Receive_queuing ("IN", Time.infinity); Script.Compute 1 ] ]
+  in
+  let scripts_b =
+    [ Script.periodic_body
+        [ Script.Compute (int 1 10); Script.Send_queuing ("OUT", "m");
+          Script.Compute (int 5 30) ] ]
+  in
+  let policy =
+    if seed mod 5 = 1 then Kernel.Round_robin { quantum = int 2 6 }
+    else Kernel.Priority_preemptive
+  in
+  let network =
+    { Air_ipc.Port.ports =
+        [ Air_ipc.Port.queuing_port ~name:"OUT" ~partition:b
+            ~direction:Air_ipc.Port.Source ~depth:4 ~max_message_size:8;
+          Air_ipc.Port.queuing_port ~name:"IN" ~partition:a
+            ~direction:Air_ipc.Port.Destination ~depth:4
+            ~max_message_size:8 ];
+      channels = [ { Air_ipc.Port.source = "OUT"; destinations = [ "IN" ] } ]
+    }
+  in
+  let contention =
+    match seed mod 3 with
+    | 0 -> None
+    | 1 ->
+      (* Tight enough to blow mid-compute on a single lane. *)
+      Some
+        (Air_spatial.Contention.config ~default_budget:(int 5 40) ~curve:[]
+           ~compute_cost:(int 1 2) ())
+    | _ ->
+      (* An aggregate overrun arms the curve once both lanes charged. *)
+      Some
+        (Air_spatial.Contention.config ~default_budget:(int 10 60)
+           ~curve:[ (0, 1); (400, 2) ] ~compute_cost:1 ())
+  in
+  let hm_tables =
+    if seed mod 2 = 0 then Air.Hm.default_tables
+    else
+      { Air.Hm.default_tables with
+        Air.Hm.process_defaults =
+          [ (Error.Deadline_missed, Error.Restart_process) ];
+        partition_defaults =
+          [ (Error.Temporal_degradation, Error.Partition_ignore) ] }
+  in
+  let schedule =
+    Schedule.make ~id:(sid 0) ~name:"S" ~mtf
+      ~requirements:[ q a mtf split; q b mtf (mtf - split) ]
+      [ w a 0 split; w b split (mtf - split) ]
+  in
+  let config =
+    System.config ~network ~hm_tables ?contention ~cores
+      ~telemetry:Air_obs.Telemetry.default_config
+      ~partitions:
+        [ System.partition_setup ~policy partition_a scripts_a;
+          System.partition_setup partition_b scripts_b ]
+      ~schedules:[ schedule ] ()
+  in
+  let ticks = (4 * mtf) + int 0 (mtf - 1) in
+  let injections =
+    List.sort compare
+      (List.init (int 1 4) (fun _ ->
+           let at = int 1 (ticks - 1) in
+           if Random.State.bool rs then (at, `Jitter (int 1 6))
+           else (at, `Deliver)))
+  in
+  (config, ticks, injections)
+
+(* Advance [engine] to [ticks], applying each injection at its tick. *)
+let run_with_injections engine ~ticks injections =
+  let system = Engine.system engine in
+  let at = ref 0 in
+  List.iter
+    (fun (tick, injection) ->
+      Engine.advance engine ~ticks:(tick - !at);
+      at := tick;
+      match injection with
+      | `Jitter n -> System.inject_clock_jitter system (pid 0) ~ticks:n
+      | `Deliver ->
+        Result.get_ok
+          (System.deliver_remote system ~port:"IN" (Bytes.of_string "x")))
+    injections;
+  Engine.advance engine ~ticks:(ticks - !at)
+
+let busy_spans_refused_when_interrupted =
+  QCheck.Test.make
+    ~name:"per-tick = skip = adaptive when busy spans are interrupted"
+    ~count:60
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      List.iter
+        (fun cores ->
+          let config, ticks, injections = busy_module ~cores seed in
+          let run mode =
+            let engine = Engine.create ~mode (System.create config) in
+            run_with_injections engine ~ticks injections;
+            Engine.system engine
+          in
+          let reference = run Engine.Per_tick in
+          List.iter
+            (fun (label, mode) ->
+              assert_equivalent
+                ~what:(Printf.sprintf "seed %d cores %d %s" seed cores label)
+                reference (run mode))
+            [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ])
+        [ 1; 2 ];
+      true)
 
 (* Tentpole acceptance: the steady-state per-tick path allocates nothing.
    After the boot transient, [System.step] on the dense module must not
@@ -459,6 +632,9 @@ let suite =
     qcheck modes_agree_dense;
     Alcotest.test_case "dense module: adaptive never probes" `Quick
       adaptive_never_probes_when_dense;
+    qcheck busy_spans_refused_when_interrupted;
+    Alcotest.test_case "long compute: busy spans skipped, bit-identical"
+      `Quick long_compute_skips_busy_spans;
     Alcotest.test_case "dense module: steady tick is allocation-free" `Quick
       steady_state_tick_is_allocation_free;
     Alcotest.test_case "profiler: buckets partition the horizon" `Quick
