@@ -46,7 +46,9 @@ fmt:
 EXEC_SMOKE_BAD = \
   "examples/configs/leo_satellite.air --ticks=-5" \
   "examples/configs/leo_satellite.air --ticks=-5 --faults" \
-  "examples/configs/constellation.air --fleet --domains 0"
+  "examples/configs/constellation.air --fleet --domains 0" \
+  "examples/configs/leo_satellite.air --watch=0" \
+  "examples/configs/leo_satellite.air --watch=-3"
 
 exec-smoke:
 	set -e; for c in 1 2; do \
@@ -105,7 +107,7 @@ fault-smoke:
 	  /tmp/air_campaign_a.json /tmp/air_campaign_b.json
 
 # End-to-end self-profiler pass: run the example module under the default
-# adaptive executive with the profiler attached, export the air-profile/1
+# skip-ahead executive with the profiler attached, export the air-profile/2
 # JSON and validate it (well-formedness, schema marker, step/batch/skip
 # bucket ticks partitioning the requested horizon exactly, consistent
 # probe accounting).

@@ -241,6 +241,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
   let turbo = not no_skip in
   let cores_n = Option.value cores ~default:1 in
   let domains_n = Option.value domains ~default:1 in
+  let watch_n = Option.value watch ~default:1 in
   if cores_n <= 0 then begin
     Format.eprintf "%s: --cores must be positive (got %d)@." path cores_n;
     1
@@ -251,6 +252,10 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
   end
   else if domains_n <= 0 then begin
     Format.eprintf "%s: --domains must be positive (got %d)@." path domains_n;
+    1
+  end
+  else if watch_n <= 0 then begin
+    Format.eprintf "%s: --watch must be positive (got %d)@." path watch_n;
     1
   end
   else if (fleet || domains <> None) && not (is_fleet_document path) then begin
@@ -339,13 +344,14 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
       else None
     in
     let engine =
-      Air_exec.Engine.create ?profiler ~skip_ahead:turbo system
+      Air_exec.Engine.create ?profiler
+        ~mode:Air_exec.Engine.(if turbo then Adaptive else Per_tick)
+        system
     in
     let wall_start = Unix.gettimeofday () in
     (match watch with
     | None -> Air_exec.Engine.advance engine ~ticks
     | Some every ->
-      let every = max 1 every in
       (* Watch mode advances whole MTFs so every dashboard refresh lines
          up with a frame boundary; the run therefore covers at least
          [ticks] ticks, rounded up to the boundary. *)
@@ -639,7 +645,8 @@ let telemetry_json_arg =
 let watch_arg =
   let doc =
     "Run in whole major time frames and print the telemetry dashboard \
-     every $(docv) MTFs (the run is rounded up to an MTF boundary)."
+     every $(docv) MTFs (the run is rounded up to an MTF boundary); \
+     $(docv) must be positive."
   in
   Arg.(value & opt (some int) None & info [ "watch" ] ~docv:"N" ~doc)
 
@@ -685,7 +692,7 @@ let no_skip_flag =
 let profile_flag =
   let doc =
     "Profile the skip-ahead executive: attribute wall clock and ticks to \
-     per-tick steps, blind batches, skipped spans and probes \
+     per-tick steps, Per_tick runs, skipped spans and probes \
      (successful/wasted), and print the bucket report after the run. The \
      run itself is bit-identical to an unprofiled one."
   in
@@ -693,7 +700,7 @@ let profile_flag =
 
 let profile_json_arg =
   let doc =
-    "Write the engine profile as an air-profile/1 JSON document to $(docv) \
+    "Write the engine profile as an air-profile/2 JSON document to $(docv) \
      (implies profiling the run)."
   in
   Arg.(

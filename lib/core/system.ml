@@ -231,29 +231,30 @@ let run t ~ticks =
     step t
   done
 
-let run_mtfs t n =
-  for _ = 1 to n do
-    let pmk = Pmk_mc.core t.lane 0 in
-    let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-    let mtf = current.Schedule.mtf in
-    (* Ticks executed within the running MTF; 0 exactly at a boundary. *)
+let run_mtfs_by advance t n =
+  let pmk = Pmk_mc.core t.lane 0 in
+  (* The running schedule's MTF and the ticks executed within its current
+     frame; 0 exactly at a boundary. *)
+  let position () =
+    let mtf = (Pmk.schedule pmk (Pmk.current_schedule pmk)).Schedule.mtf in
     let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-    let into = ((executed mod mtf) + mtf) mod mtf in
-    if into = 0 then begin
+    (mtf, ((executed mod mtf) + mtf) mod mtf)
+  in
+  for _ = 1 to n do
+    match position () with
+    | _, 0 ->
       (* Exactly at a boundary a pending mode-based switch becomes
          effective on the next tick, possibly to a schedule with a
          different MTF: execute the boundary tick first, then finish the
          frame under the schedule that is actually running (running the
          old [mtf] blindly would mis-size the frame). *)
-      run t ~ticks:1;
-      let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-      let mtf = current.Schedule.mtf in
-      let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-      let into = ((executed mod mtf) + mtf) mod mtf in
-      if into > 0 then run t ~ticks:(mtf - into)
-    end
-    else run t ~ticks:(mtf - into)
+      advance 1;
+      let mtf, into = position () in
+      if into > 0 then advance (mtf - into)
+    | mtf, into -> advance (mtf - into)
   done
+
+let run_mtfs t n = run_mtfs_by (fun ticks -> run t ~ticks) t n
 
 let halted t = t.halt_reason
 

@@ -166,6 +166,13 @@ val run : t -> ticks:int -> unit
 val run_mtfs : t -> int -> unit
 (** Run whole major time frames of the schedule current at each boundary. *)
 
+val run_mtfs_by : (int -> unit) -> t -> int -> unit
+(** [run_mtfs_by advance t n] walks [n] frames as {!run_mtfs} does, but
+    moves the clock with [advance ticks] instead of {!run}; [advance] must
+    execute exactly [ticks] ticks of [t] (the skip-ahead executive passes
+    its own advance). [run_mtfs t n] is [run_mtfs_by (fun ticks -> run t
+    ~ticks) t n]. *)
+
 val now : t -> Time.t
 val halted : t -> string option
 

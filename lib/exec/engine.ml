@@ -1,6 +1,6 @@
 open Air
 
-type mode = Per_tick | Skip | Adaptive
+type mode = Per_tick | Adaptive
 
 type stats = {
   mutable stepped : int;
@@ -12,24 +12,6 @@ type t = {
   system : System.t;
   mode : mode;
   stats : stats;
-  (* Adaptive state: [density] is a fixed-point (scale 256) EWMA of how
-     "interesting" recent ticks were — 256 means every evaluated tick did
-     observable work or could not be skipped, 0 means long quiet spans
-     (idle, or a process merely computing: busy spans skip too). While the
-     estimate sits above [dense_threshold] the engine stops probing
-     [Clock.next_interesting] and runs blind per-tick batches of [blind]
-     ticks (doubling up to [blind_max]), so a dense workload pays the
-     probe on a vanishing fraction of ticks. *)
-  mutable density : int;
-  mutable blind : int;
-  (* Consecutive quiescent ticks seen while the estimate is dense — two in
-     a row usually announce a real idle span rather than a one-tick gap,
-     and trigger a (rate-limited) probe even before the estimate decays. *)
-  mutable streak : int;
-  (* The previous iteration ran a blind batch: if the module is quiescent
-     right after one, the dense phase ended inside the batch (overshoot)
-     and a probe — amortized by the batch — re-engages skipping at once. *)
-  mutable just_batched : bool;
   on_tick : (unit -> unit) option;
       (* Fired after every tick executed through the per-tick path (and
          never across a skipped span, which is quiescent by proof): the
@@ -42,25 +24,10 @@ type t = {
          reads. *)
 }
 
-let scale = 256
-let dense_threshold = 192
-let blind_init = 16
-let blind_max = 4096
-
-let create ?profiler ?on_tick ?skip_ahead ?mode system =
-  let mode =
-    match (mode, skip_ahead) with
-    | Some m, _ -> m
-    | None, Some false -> Per_tick
-    | None, (Some true | None) -> Adaptive
-  in
+let create ?profiler ?on_tick ?(mode = Adaptive) system =
   { system;
     mode;
     stats = { stepped = 0; skipped = 0; probes = 0 };
-    density = 0;
-    blind = blind_init;
-    streak = 0;
-    just_batched = false;
     on_tick;
     profiler }
 
@@ -127,8 +94,8 @@ let step_one t =
     step_raw t;
     Profiler.note_step p ~seconds:(Profiler.timestamp () -. t0)
 
-(* [n] ticks through [run_raw] (blind batch or a whole Per_tick-mode
-   advance), attributed to the batch bucket. *)
+(* [n] ticks through [run_raw] (a whole Per_tick-mode advance),
+   attributed to the batch bucket. *)
 let run_batch t ~ticks =
   match t.profiler with
   | None -> run_raw t ~ticks
@@ -137,16 +104,15 @@ let run_batch t ~ticks =
     run_raw t ~ticks;
     Profiler.note_batch p ~ticks ~seconds:(Profiler.timestamp () -. t0)
 
-let sample_density t =
-  match t.profiler with
-  | None -> ()
-  | Some p -> Profiler.note_density p t.density
-
-(* Always-skip: execute every interesting tick through the per-tick path
-   and probe for a quiet span after each one. Maximal skipping, but each
-   executed tick pays the probe — the dense-workload regression the
-   adaptive mode exists to avoid. *)
-let advance_skip t ~ticks =
+(* Skip-ahead: execute every interesting tick through the per-tick path
+   and, after each one that leaves the module quiescent, probe for a quiet
+   span and collapse it. Idle and mid-compute spans are both quiescent,
+   so only event ticks fail the check, and a failed check is all they pay
+   over [Per_tick] — measurable only on a module with an event due every
+   tick (DESIGN §8.4). Skips are guarded by the quiescence proof, so
+   traces, telemetry, metrics and campaign fingerprints are bit-identical
+   to [Per_tick]. *)
+let skip_ahead t ~ticks =
   let remaining = ref ticks in
   while !remaining > 0 && not (halted t) do
     step_one t;
@@ -154,89 +120,6 @@ let advance_skip t ~ticks =
     t.stats.stepped <- t.stats.stepped + 1;
     if !remaining > 0 && (not (halted t)) && System.quiescent t.system then
       remaining := !remaining - probe t ~remaining:!remaining
-  done
-
-(* Adaptive: keep an estimate of interesting-tick density and only pay
-   the probe while the workload looks sparse.
-
-   - a successful skip of [n] ticks is ground truth that probing pays —
-     the estimate is set directly to 256 / (1 + n) (long quiet spans
-     drive it towards 0) and the blind batch size resets;
-   - a quiescent tick whose probe found nothing, and every non-quiescent
-     tick, raise the estimate EWMA-style (d += (256 - d) / 8): the
-     module is paying probes or quiescence checks for nothing;
-   - once the estimate crosses [dense_threshold] on a non-quiescent tick
-     the engine runs blind per-tick batches with no probes and no
-     quiescence checks, doubling from [blind_init] up to [blind_max], so
-     a long dense phase asymptotically pays ~zero skip-ahead overhead
-     while a phase change is still noticed within [blind] ticks.
-
-   While dense, a single quiescent tick only decays the estimate
-   (d -= d/8) — one-tick gaps are common inside dense phases and probing
-   them was the BENCH_5 regression. Two quiescent ticks in a row,
-   however, usually announce a real idle span (a dense phase just
-   ended): the second one pays a probe immediately instead of waiting
-   ~15 decay ticks, so the sparse-workload win survives dense phases.
-   The streak reset after each probe rate-limits re-probing when the
-   module idles densely (something due every tick) to one probe per two
-   quiescent ticks at worst, and the estimate saturates dense again
-   after the first empty probe anyway.
-
-   Blind batches reuse [System.run] — exactly the per-tick reference
-   path — and skips are guarded by the same quiescence proof as
-   always-skip mode, so traces, telemetry, metrics and campaign
-   fingerprints are bit-identical across all three modes. *)
-let note_skip t ~skipped =
-  if skipped > 0 then begin
-    t.density <- scale / (1 + skipped);
-    t.blind <- blind_init
-  end
-  else t.density <- t.density + ((scale - t.density) / 8)
-
-let advance_adaptive t ~ticks =
-  let remaining = ref ticks in
-  while !remaining > 0 && not (halted t) do
-    step_one t;
-    decr remaining;
-    t.stats.stepped <- t.stats.stepped + 1;
-    if !remaining > 0 && not (halted t) then begin
-      if System.quiescent t.system then begin
-        let overshot = t.just_batched in
-        t.just_batched <- false;
-        if overshot || t.density < dense_threshold then begin
-          t.streak <- 0;
-          let skipped = probe t ~remaining:!remaining in
-          remaining := !remaining - skipped;
-          note_skip t ~skipped;
-          sample_density t
-        end
-        else begin
-          t.streak <- t.streak + 1;
-          if t.streak >= 2 then begin
-            t.streak <- 0;
-            let skipped = probe t ~remaining:!remaining in
-            remaining := !remaining - skipped;
-            note_skip t ~skipped;
-            sample_density t
-          end
-          else t.density <- t.density - (t.density / 8)
-        end
-      end
-      else begin
-        t.streak <- 0;
-        t.just_batched <- false;
-        t.density <- t.density + ((scale - t.density) / 8);
-        if t.density >= dense_threshold then begin
-          sample_density t;
-          let n = Stdlib.min !remaining t.blind in
-          run_batch t ~ticks:n;
-          remaining := !remaining - n;
-          t.stats.stepped <- t.stats.stepped + n;
-          if t.blind < blind_max then t.blind <- t.blind * 2;
-          t.just_batched <- true
-        end
-      end
-    end
   done
 
 (* Advance the module by [ticks] clock ticks, observationally identically
@@ -250,27 +133,6 @@ let advance t ~ticks =
     | Per_tick ->
       run_batch t ~ticks;
       t.stats.stepped <- t.stats.stepped + ticks
-    | Skip -> advance_skip t ~ticks
-    | Adaptive -> advance_adaptive t ~ticks
+    | Adaptive -> skip_ahead t ~ticks
 
-let run_mtfs t n =
-  for _ = 1 to n do
-    let pmk = System.pmk t.system in
-    let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-    let mtf = current.Air_model.Schedule.mtf in
-    let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-    let into = ((executed mod mtf) + mtf) mod mtf in
-    if into = 0 then begin
-      (* Mirror of [System.run_mtfs]: at a boundary a pending mode-based
-         switch takes effect on the next tick, possibly changing the MTF —
-         execute the boundary tick first, then finish the frame under the
-         schedule actually running. *)
-      advance t ~ticks:1;
-      let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-      let mtf = current.Air_model.Schedule.mtf in
-      let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-      let into = ((executed mod mtf) + mtf) mod mtf in
-      if into > 0 then advance t ~ticks:(mtf - into)
-    end
-    else advance t ~ticks:(mtf - into)
-  done
+let run_mtfs t n = System.run_mtfs_by (fun ticks -> advance t ~ticks) t.system n

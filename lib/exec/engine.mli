@@ -6,41 +6,33 @@
     when nothing can happen beyond the clock and the running computations
     advancing — every held core idle or mid-compute, no pending wake or
     deadline, no window edge. [Engine] executes every interesting tick
-    through the unchanged per-tick path and collapses each provably-quiet
-    span in between into a single batch update ({!Air.System.skip}), so
-    workloads advance at the cost of their event density rather than
-    their horizon — a process in a long computation is not dense.
+    through the unchanged per-tick path and, after each one that leaves
+    the module quiescent ({!Air.System.quiescent}), probes
+    {!Clock.next_interesting} and collapses the provably-quiet span up to
+    it into a single batch update ({!Air.System.skip}). Workloads advance
+    at the cost of their event density rather than their horizon — a
+    process in a long computation is not dense.
 
-    Always-on skipping has a dual cost: on a {e dense} workload (something
-    observable due nearly every tick — a computation ending, a service
-    call, a stall tick) the per-tick probe of
-    {!Clock.next_interesting} buys nothing and is pure overhead. The
-    default {!Adaptive} mode tracks an EWMA estimate of interesting-tick
-    density, probes only while the workload looks sparse, and runs blind
-    per-tick batches (doubling up to a cap) while it is dense — so dense
-    workloads run at within-noise of plain per-tick execution while
-    sparse workloads keep the full skip-ahead win. Event traces,
-    telemetry frames, metrics and campaign verdicts are identical in all
-    modes (the property tests in [test/test_exec.ml] pin this). *)
+    The probe is paid only after a quiescent tick, so the price of
+    skip-ahead on a dense module is one failed quiescence check per event
+    tick. Event traces, telemetry frames, metrics and campaign verdicts
+    are identical in both modes (the property tests in
+    [test/test_exec.ml] pin this). *)
 
 (** Execution strategy. *)
 type mode =
   | Per_tick  (** Plain {!Air.System.run} — the reference behaviour. *)
-  | Skip
-      (** Probe for a quiet span after every executed tick. Maximal
-          skipping; each executed tick pays the probe. *)
   | Adaptive
-      (** Density-gated skipping: probe while sparse, blind per-tick
-          batches while dense. Never slower than [Per_tick] by more than
-          noise, never misses a skippable span by more than the current
-          blind batch. The default. *)
+      (** Skip-ahead: step every interesting tick, probe for a quiet span
+          only after a quiescent one. The default. (The name is kept from
+          an earlier density-gated variant so existing callers compile.) *)
 
 type stats = {
   mutable stepped : int;  (** Ticks executed through the per-tick path. *)
   mutable skipped : int;  (** Ticks collapsed into batch clock updates. *)
   mutable probes : int;
-      (** [Clock.next_interesting] evaluations — the skip-ahead overhead
-          measure the adaptive mode minimizes on dense workloads. *)
+      (** [Clock.next_interesting] evaluations — one per quiescent
+          stepped tick; a probe that skips nothing is pure overhead. *)
 }
 
 type t
@@ -48,19 +40,16 @@ type t
 val create :
   ?profiler:Profiler.t ->
   ?on_tick:(unit -> unit) ->
-  ?skip_ahead:bool ->
   ?mode:mode ->
   Air.System.t ->
   t
-(** [mode] selects the strategy and wins over [skip_ahead] when both are
-    given. Without [mode], [~skip_ahead:false] maps to {!Per_tick} and
-    [~skip_ahead:true] (or nothing) to {!Adaptive}. [profiler], when
+(** [mode] selects the strategy (default {!Adaptive}). [profiler], when
     given, receives wall-clock and tick attribution for every engine
     operation ({!Profiler}); without one the engine takes the original
     uninstrumented paths and reads no clocks. [on_tick] is fired after
-    {e every} executed tick — including inside blind batches — and never
-    across a skipped span (skips are quiescence-proved, so nothing the
-    observer could see happens in them); the fleet engine hangs its
+    {e every} executed tick — including inside a [Per_tick] run — and
+    never across a skipped span (skips are quiescence-proved, so nothing
+    the observer could see happens in them); the fleet engine hangs its
     per-module gateway pump here. *)
 
 val system : t -> Air.System.t
@@ -78,5 +67,6 @@ val advance : t -> ticks:int -> unit
 
 val run_mtfs : t -> int -> unit
 (** Advance by whole major time frames of the schedule current at each
-    boundary (mirror of {!Air.System.run_mtfs}, including its handling of
-    a different-MTF schedule switch at the boundary). *)
+    boundary: {!Air.System.run_mtfs_by} driven by {!advance}, so the frame
+    arithmetic (including a different-MTF schedule switch at the
+    boundary) is {!Air.System.run_mtfs}'s own. *)

@@ -1,11 +1,10 @@
 (* Self-profiler for the skip-ahead executive: attributes wall-clock time
    and tick counts to the engine's execution mechanisms — individually
-   stepped ticks, blind per-tick batches, collapsed quiet spans and the
-   probes that find them — and keeps the recent trajectory of the adaptive
-   density estimate. Purely observational: the engine behaves identically
-   with or without one attached (the property tests pin bit-identical
-   traces), it just pays two clock reads around each instrumented
-   operation while profiling. *)
+   stepped ticks, whole Per_tick-mode runs, collapsed quiet spans and the
+   probes that find them. Purely observational: the engine behaves
+   identically with or without one attached (the property tests pin
+   bit-identical traces), it just pays two clock reads around each
+   instrumented operation while profiling. *)
 
 type t = {
   (* Ticks executed one at a time through the per-tick path, with engine
@@ -14,7 +13,7 @@ type t = {
   mutable step_calls : int;
   mutable step_seconds : float;
   (* Ticks executed through [System.run] with no engine bookkeeping in
-     between: adaptive blind batches, and whole Per_tick-mode advances. *)
+     between: whole Per_tick-mode advances. *)
   mutable batch_ticks : int;
   mutable batch_calls : int;
   mutable batch_seconds : float;
@@ -26,16 +25,9 @@ type t = {
   mutable probes_wasted : int;
   mutable probe_seconds : float;
   mutable wasted_probe_seconds : float;
-  (* Density-estimate trajectory: most recent [capacity] samples, taken
-     at probe outcomes and blind-batch launches. *)
-  trajectory : int array;
-  mutable traj_head : int;
-  mutable traj_total : int;
 }
 
-let create ?(trajectory_capacity = 1024) () =
-  if trajectory_capacity <= 0 then
-    invalid_arg "Profiler.create: capacity must be positive";
+let create () =
   { step_ticks = 0;
     step_calls = 0;
     step_seconds = 0.0;
@@ -47,10 +39,7 @@ let create ?(trajectory_capacity = 1024) () =
     probes_successful = 0;
     probes_wasted = 0;
     probe_seconds = 0.0;
-    wasted_probe_seconds = 0.0;
-    trajectory = Array.make trajectory_capacity 0;
-    traj_head = 0;
-    traj_total = 0 }
+    wasted_probe_seconds = 0.0 }
 
 let timestamp () = Unix.gettimeofday ()
 
@@ -76,19 +65,8 @@ let note_probe t ~skipped ~seconds =
     t.wasted_probe_seconds <- t.wasted_probe_seconds +. seconds
   end
 
-let note_density t density =
-  t.trajectory.(t.traj_head) <- density;
-  t.traj_head <- (t.traj_head + 1) mod Array.length t.trajectory;
-  t.traj_total <- t.traj_total + 1
-
 let simulated t = t.step_ticks + t.batch_ticks + t.skip_ticks
 let probes t = t.probes_successful + t.probes_wasted
-
-let density_trajectory t =
-  let cap = Array.length t.trajectory in
-  let n = Stdlib.min t.traj_total cap in
-  let start = (t.traj_head - n + cap) mod cap in
-  List.init n (fun i -> t.trajectory.((start + i) mod cap))
 
 (* --- Reports ------------------------------------------------------------- *)
 
@@ -110,7 +88,7 @@ let to_text t =
   line "  per-tick steps  : %8d ticks            %10.3f ms  (%6.1f ns/tick)"
     t.step_ticks (ms t.step_seconds)
     (ns_per t.step_seconds t.step_ticks);
-  line "  blind batches   : %8d ticks %6d runs %10.3f ms  (%6.1f ns/tick)"
+  line "  Per_tick runs   : %8d ticks %6d runs %10.3f ms  (%6.1f ns/tick)"
     t.batch_ticks t.batch_calls (ms t.batch_seconds)
     (ns_per t.batch_seconds t.batch_ticks);
   line "  skipped spans   : %8d ticks %6d spans          -  (O(1) each)"
@@ -118,22 +96,13 @@ let to_text t =
   line "  probes          : %8d total %6d paid off, %d wasted (%.3f ms, %.3f ms wasted)"
     (probes t) t.probes_successful t.probes_wasted (ms t.probe_seconds)
     (ms t.wasted_probe_seconds);
-  (match density_trajectory t with
-  | [] -> line "  density estimate: no samples (workload never left probing)"
-  | samples ->
-    let mn = List.fold_left Stdlib.min 256 samples in
-    let mx = List.fold_left Stdlib.max 0 samples in
-    let last = List.nth samples (List.length samples - 1) in
-    line "  density estimate: last=%d/256 min=%d max=%d over %d samples%s"
-      last mn mx t.traj_total
-      (if t.traj_total > List.length samples then " (recent window)" else ""));
   Buffer.contents buf
 
 let to_json t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"schema\":\"air-profile/1\",\"simulated\":%d,\"buckets\":{"
+       "{\"schema\":\"air-profile/2\",\"simulated\":%d,\"buckets\":{"
        (simulated t));
   Buffer.add_string buf
     (Printf.sprintf
@@ -149,12 +118,7 @@ let to_json t =
   Buffer.add_string buf
     (Printf.sprintf
        "\"probes\":{\"total\":%d,\"successful\":%d,\"wasted\":%d,\
-        \"seconds\":%.9f,\"wasted_seconds\":%.9f},"
+        \"seconds\":%.9f,\"wasted_seconds\":%.9f}}"
        (probes t) t.probes_successful t.probes_wasted t.probe_seconds
        t.wasted_probe_seconds);
-  Buffer.add_string buf
-    (Printf.sprintf "\"density\":{\"samples\":%d,\"trajectory\":[%s]}}"
-       t.traj_total
-       (String.concat ","
-          (List.map string_of_int (density_trajectory t))));
   Buffer.contents buf

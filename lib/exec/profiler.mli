@@ -6,18 +6,16 @@
 
     - {e per-tick steps} — ticks executed one at a time with engine
       bookkeeping (quiescence check, probe decision) between them;
-    - {e blind batches} — ticks executed through [System.run] with no
-      bookkeeping in between (adaptive dense phases, and whole
-      [Per_tick]-mode advances);
+    - {e Per_tick runs} — ticks executed through [System.run] with no
+      bookkeeping in between (whole [Per_tick]-mode advances);
     - {e skipped spans} — ticks collapsed into O(1) batch clock updates
       by successful probes;
     - {e probes} — [Clock.next_interesting] evaluations, split into those
       that paid off (a span was skipped) and those that were pure
-      overhead ({e wasted});
+      overhead ({e wasted}).
 
-    plus the recent trajectory of the adaptive density estimate (0–256,
-    sampled at probe outcomes and batch launches). The step, batch and
-    skip tick buckets partition the simulated horizon exactly:
+    The step, batch and skip tick buckets partition the simulated horizon
+    exactly:
     [step.ticks + batch.ticks + skip.ticks = simulated] — the invariant
     the [profile-smoke] CI check pins.
 
@@ -27,10 +25,7 @@
 
 type t
 
-val create : ?trajectory_capacity:int -> unit -> t
-(** [trajectory_capacity] (default 1024, positive) bounds the retained
-    density-sample ring; older samples are evicted, the sample count keeps
-    counting. *)
+val create : unit -> t
 
 val timestamp : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]) — the engine brackets
@@ -45,22 +40,18 @@ val note_probe : t -> skipped:int -> seconds:float -> unit
 (** [skipped > 0] counts a successful probe and credits the span to the
     skip bucket; [skipped = 0] counts a wasted probe. *)
 
-val note_density : t -> int -> unit
-
 (** {1 Reading} *)
 
 val simulated : t -> int
 (** [step + batch + skip] ticks — equals the engine's simulated total. *)
 
 val probes : t -> int
-val density_trajectory : t -> int list
-(** Retained density samples, oldest first. *)
 
 val to_text : t -> string
 (** Human-readable bucket report with ns/tick rates. *)
 
 val to_json : t -> string
-(** One-line JSON document, schema ["air-profile/1"]: [simulated], the
+(** One-line JSON document, schema ["air-profile/2"]: [simulated], the
     [buckets] object ([step]/[batch]/[skip] with tick counts, call counts
-    and wall seconds), [probes] (total/successful/wasted + seconds) and
-    [density] (sample count + retained trajectory). *)
+    and wall seconds) and [probes] (total/successful/wasted + seconds).
+    Version 2 dropped version 1's [density] object. *)

@@ -11,7 +11,7 @@
        [T + W], [W <= L], every delivery is already known at [T] — no
        traffic produced inside the window can land inside it.}
     {- {b Windows.} Each module advances privately through its own
-       {!Air_exec.Engine} (adaptive skip-ahead), segmented at its arrival
+       {!Air_exec.Engine} (skip-ahead), segmented at its arrival
        instants; a per-tick hook pumps its gateways into the shard's
        mailbox, tagged with the sequential drain position
        [(clock, link, fifo)].}

@@ -1,6 +1,6 @@
 (* Standalone validator for the profile-smoke make target: given a
    profile JSON file `air_run --profile-json` produced, check that it is
-   well-formed air-profile/1 JSON, that the step/batch/skip tick buckets
+   well-formed air-profile/2 JSON, that the step/batch/skip tick buckets
    partition the simulated horizon exactly, that the horizon matches the
    tick budget the smoke run requested, and that probe accounting is
    consistent (total = successful + wasted). Exits nonzero on the first
@@ -41,8 +41,10 @@ let () =
   (match Json_lint.check text with
   | Ok () -> ()
   | Error e -> fail "%s: invalid JSON: %s" path e);
-  if not (Astring_contains.contains text "\"schema\":\"air-profile/1\"")
-  then fail "%s: missing air-profile/1 schema marker" path;
+  if not (Astring_contains.contains text "\"schema\":\"air-profile/2\"")
+  then fail "%s: missing air-profile/2 schema marker" path;
+  if Astring_contains.contains text "\"density\""
+  then fail "%s: air-profile/2 has no density object" path;
   let simulated = int_field text path "simulated" in
   (match expected_ticks with
   | Some t when t <> simulated ->
@@ -72,8 +74,6 @@ let () =
   if successful + wasted <> total then
     fail "%s: probes %d+%d do not sum to total %d" path successful wasted
       total;
-  if int_field text path "samples" < 0 then
-    fail "%s: negative density sample count" path;
   Printf.printf
     "profile smoke OK: %d ticks = %d stepped + %d batched + %d skipped, \
      %d probes\n"

@@ -86,7 +86,7 @@ let skip_matches_per_tick_on_random_modules =
         (* A few MTFs plus a ragged tail so runs end mid-frame too. *)
         let ticks = (3 * mtf) + (seed mod 997) in
         System.run reference ~ticks;
-        let engine = Engine.create ~skip_ahead:true candidate in
+        let engine = Engine.create candidate in
         Engine.advance engine ~ticks;
         assert_equivalent ~what:(Printf.sprintf "seed %d" seed) reference
           candidate;
@@ -95,32 +95,25 @@ let skip_matches_per_tick_on_random_modules =
           ticks (Engine.simulated engine);
         true)
 
-(* All three execution strategies — plain per-tick, always-skip and the
-   default adaptive mode — must be pairwise bit-identical, both on sparse
-   modules (where skipping dominates and the adaptive estimate stays low)
-   and on dense ones (where adaptive runs blind per-tick batches). This is
-   the tentpole invariant: mode only changes speed, never observables. *)
+(* Both execution strategies — plain per-tick and the default skip-ahead
+   mode — must be bit-identical, both on sparse modules (where skipping
+   dominates) and on dense ones (where most stepped ticks are event ticks
+   and the quiescence check fails). This is the tentpole invariant: mode
+   only changes speed, never observables. *)
 let modes_agree ~name ~utilization =
   QCheck.Test.make ~name ~count:20
     QCheck.(int_range 1 10_000)
     (fun seed ->
       match
-        ( taskgen_system ~utilization seed,
-          taskgen_system ~utilization seed,
-          taskgen_system ~utilization seed )
+        (taskgen_system ~utilization seed, taskgen_system ~utilization seed)
       with
-      | None, _, _ | _, None, _ | _, _, None -> QCheck.assume_fail ()
-      | Some (reference, mtf), Some (skip_sys, _), Some (adaptive_sys, _) ->
+      | None, _ | _, None -> QCheck.assume_fail ()
+      | Some (reference, mtf), Some (adaptive_sys, _) ->
         let ticks = (3 * mtf) + (seed mod 997) in
         let per_tick = Engine.create ~mode:Engine.Per_tick reference in
         Engine.advance per_tick ~ticks;
-        let skip = Engine.create ~mode:Engine.Skip skip_sys in
-        Engine.advance skip ~ticks;
         let adaptive = Engine.create ~mode:Engine.Adaptive adaptive_sys in
         Engine.advance adaptive ~ticks;
-        assert_equivalent
-          ~what:(Printf.sprintf "seed %d: always-skip vs per-tick" seed)
-          reference skip_sys;
         assert_equivalent
           ~what:(Printf.sprintf "seed %d: adaptive vs per-tick" seed)
           reference adaptive_sys;
@@ -128,21 +121,16 @@ let modes_agree ~name ~utilization =
           (Printf.sprintf "seed %d: per-tick simulated" seed)
           ticks (Engine.simulated per_tick);
         check Alcotest.int
-          (Printf.sprintf "seed %d: always-skip simulated" seed)
-          ticks (Engine.simulated skip);
-        check Alcotest.int
           (Printf.sprintf "seed %d: adaptive simulated" seed)
           ticks (Engine.simulated adaptive);
         true)
 
 let modes_agree_sparse =
-  modes_agree
-    ~name:"per-tick = always-skip = adaptive on sparse random modules"
+  modes_agree ~name:"per-tick = adaptive on sparse random modules"
     ~utilization:0.4
 
 let modes_agree_dense =
-  modes_agree
-    ~name:"per-tick = always-skip = adaptive on dense random modules"
+  modes_agree ~name:"per-tick = adaptive on dense random modules"
     ~utilization:0.9
 
 (* --- Dense workloads ----------------------------------------------------- *)
@@ -170,10 +158,10 @@ let dense_system ?causal ?(compute = 1) () =
        ~partitions:[ System.partition_setup p [ script ] ]
        ~schedules:[ schedule ] ())
 
-(* The BENCH_5 regression: always-skip paid a [Clock.next_interesting]
+(* The BENCH_5 regression: skip-ahead once paid a [Clock.next_interesting]
    probe per executed tick on dense workloads. A module with no skippable
-   tick must cost the adaptive default no probe at all — every tick is
-   non-quiescent, so it runs blind batches and never consults the probe —
+   tick must cost the default no probe at all — every tick is
+   non-quiescent, so each one is stepped and the probe never consulted —
    while staying bit-identical to the per-tick reference. *)
 let adaptive_never_probes_when_dense () =
   let reference = dense_system () in
@@ -190,28 +178,24 @@ let adaptive_never_probes_when_dense () =
 
 (* A process mid-way through one long computation is busy, not dense:
    within an MTF only the window's dispatch tick does anything beyond
-   compute progress, so every mode steps at most two ticks per MTF and
+   compute progress, so skip-ahead steps at most two ticks per MTF and
    stays bit-identical to per-tick. *)
 let long_compute_skips_busy_spans () =
   let ticks = 10_000 in
   let reference = dense_system ~compute:1_000_000_000 () in
   System.run reference ~ticks;
-  List.iter
-    (fun (label, mode) ->
-      let engine =
-        Engine.create ~mode (dense_system ~compute:1_000_000_000 ())
-      in
-      Engine.advance engine ~ticks;
-      assert_equivalent ~what:(label ^ ": long compute") reference
-        (Engine.system engine);
-      let stats = Engine.stats engine in
-      check Alcotest.bool
-        (label ^ ": at most two stepped ticks per MTF")
-        true
-        (stats.Engine.stepped <= 2 * (ticks / 50));
-      check Alcotest.int (label ^ ": stepped + skipped") ticks
-        (stats.Engine.stepped + stats.Engine.skipped))
-    [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ]
+  let engine =
+    Engine.create ~mode:Engine.Adaptive
+      (dense_system ~compute:1_000_000_000 ())
+  in
+  Engine.advance engine ~ticks;
+  assert_equivalent ~what:"adaptive: long compute" reference
+    (Engine.system engine);
+  let stats = Engine.stats engine in
+  check Alcotest.bool "adaptive: at most two stepped ticks per MTF" true
+    (stats.Engine.stepped <= 2 * (ticks / 50));
+  check Alcotest.int "adaptive: stepped + skipped" ticks
+    (stats.Engine.stepped + stats.Engine.skipped)
 
 (* --- Busy spans: what the skip must refuse ------------------------------- *)
 
@@ -338,7 +322,7 @@ let run_with_injections engine ~ticks injections =
 
 let busy_spans_refused_when_interrupted =
   QCheck.Test.make
-    ~name:"per-tick = skip = adaptive when busy spans are interrupted"
+    ~name:"per-tick = adaptive when busy spans are interrupted"
     ~count:60
     QCheck.(int_range 1 100_000)
     (fun seed ->
@@ -350,13 +334,9 @@ let busy_spans_refused_when_interrupted =
             run_with_injections engine ~ticks injections;
             Engine.system engine
           in
-          let reference = run Engine.Per_tick in
-          List.iter
-            (fun (label, mode) ->
-              assert_equivalent
-                ~what:(Printf.sprintf "seed %d cores %d %s" seed cores label)
-                reference (run mode))
-            [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ])
+          assert_equivalent
+            ~what:(Printf.sprintf "seed %d cores %d adaptive" seed cores)
+            (run Engine.Per_tick) (run Engine.Adaptive))
         [ 1; 2 ];
       true)
 
@@ -388,8 +368,8 @@ let steady_state_tick_is_allocation_free () =
 (* The profiler is observational: attaching one must not change a single
    bit of the observable run, and its step/batch/skip tick buckets must
    partition the simulated horizon exactly — in every mode. The satellite
-   workload exercises all three buckets (sparse spans skip, dense phases
-   batch, interesting ticks step). *)
+   workload exercises all three buckets (per-tick mode batches, and under
+   skip-ahead quiet spans skip and interesting ticks step). *)
 let profile_ticks = 20_000
 
 let profiler_buckets_partition_ticks () =
@@ -425,14 +405,12 @@ let profiler_buckets_partition_ticks () =
       check Alcotest.bool
         (label ^ ": profile schema")
         true
-        (Astring_contains.contains json "\"schema\":\"air-profile/1\""))
-    [ ("per-tick", Engine.Per_tick); ("skip", Engine.Skip);
-      ("adaptive", Engine.Adaptive) ]
+        (Astring_contains.contains json "\"schema\":\"air-profile/2\""))
+    [ ("per-tick", Engine.Per_tick); ("adaptive", Engine.Adaptive) ]
 
-(* Mode-specific attribution: per-tick advances are blind batches (no
-   probes, no skips); always-skip pays a probe per executed tick and
-   never batches; the adaptive satellite run uses skips (sparse idle
-   spans) and records a density trajectory. *)
+(* Mode-specific attribution: per-tick advances are batches (no probes,
+   no skips); the adaptive satellite run pays probes after quiescent
+   ticks, every one attributed, and uses skips (sparse idle spans). *)
 let profiler_attributes_by_mode () =
   let run mode =
     let profiler = Air_exec.Profiler.create () in
@@ -444,16 +422,11 @@ let profiler_attributes_by_mode () =
   in
   let p, _ = run Engine.Per_tick in
   check Alcotest.int "per-tick: no probes" 0 (Air_exec.Profiler.probes p);
-  check Alcotest.(list int) "per-tick: no density samples" []
-    (Air_exec.Profiler.density_trajectory p);
-  let p, stats = run Engine.Skip in
-  check Alcotest.bool "skip: probes paid" true (stats.Engine.probes > 0);
-  check Alcotest.int "skip: every probe attributed" stats.Engine.probes
-    (Air_exec.Profiler.probes p);
   let p, stats = run Engine.Adaptive in
-  check Alcotest.bool "adaptive: skips engaged" true (stats.Engine.skipped > 0);
-  check Alcotest.bool "adaptive: density sampled" true
-    (Air_exec.Profiler.density_trajectory p <> [])
+  check Alcotest.bool "adaptive: probes paid" true (stats.Engine.probes > 0);
+  check Alcotest.int "adaptive: every probe attributed" stats.Engine.probes
+    (Air_exec.Profiler.probes p);
+  check Alcotest.bool "adaptive: skips engaged" true (stats.Engine.skipped > 0)
 
 (* --- Horizon arithmetic -------------------------------------------------- *)
 
@@ -480,7 +453,7 @@ let satellite_skip_equivalence () =
   let reference = Air_workload.Satellite.make () in
   System.run reference ~ticks:satellite_ticks;
   let engine =
-    Engine.create ~skip_ahead:true (Air_workload.Satellite.make ())
+    Engine.create (Air_workload.Satellite.make ())
   in
   Engine.advance engine ~ticks:satellite_ticks;
   assert_equivalent ~what:"satellite" reference (Engine.system engine);
@@ -498,7 +471,7 @@ let multicore_skip_equivalence () =
   in
   let reference = make () in
   System.run reference ~ticks:satellite_ticks;
-  let engine = Engine.create ~skip_ahead:true (make ()) in
+  let engine = Engine.create (make ()) in
   Engine.advance engine ~ticks:satellite_ticks;
   check Alcotest.int "2 cores" 2 (System.cores (Engine.system engine));
   assert_equivalent ~what:"satellite --cores 2" reference
@@ -508,7 +481,7 @@ let run_mtfs_equivalence () =
   let reference = Air_workload.Satellite.make () in
   System.run_mtfs reference 7;
   let engine =
-    Engine.create ~skip_ahead:true (Air_workload.Satellite.make ())
+    Engine.create (Air_workload.Satellite.make ())
   in
   Engine.run_mtfs engine 7;
   assert_equivalent ~what:"run_mtfs" reference (Engine.system engine)
