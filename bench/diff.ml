@@ -27,7 +27,7 @@ let threshold_for name =
   in
   match group with
   | "scheduler" | "deadline" | "pal" | "ipc" | "mmu" | "causal"
-  | "contention" -> 2.0
+  | "contention" | "obs" -> 2.0
   | "system" | "recorder" | "telemetry" -> 1.75
   | "exec" | "faults" | "analysis" | "extensions" | "profiler" -> 1.5
   (* Whole-horizon rows, but the domain rows contend for whatever cores

@@ -11,6 +11,8 @@
    - ipc/*       (E9): sampling and queuing transfers through the router.
    - mmu/*       (E10): page-table walk vs TLB-served access checks.
    - system/*    : a full prototype tick (all layers compounded).
+   - obs/*       : per-event cost of the trace and the event sink that every
+     emitted event is recorded into.
    - faults/*    : campaign-engine costs — rate-plan expansion, the spatial
      and communication injection hooks, and a whole one-MTF campaign
      (target + baseline + oracle bookkeeping).
@@ -400,6 +402,33 @@ let recorder_tests =
       Test.make ~name:"span instant" (span_instant ());
       Test.make ~name:"pmk tick (recorded)" (pmk_tick_recorded ());
       Test.make ~name:"prototype tick (recorded)" (prototype_tick_recorded ()) ]
+
+(* --- event path --------------------------------------------------------------- *)
+
+let obs_tests =
+  (* Per-event recording cost of the two event stores every emit feeds:
+     the system trace and the structured-event sink. The payload is
+     allocated once, so the rows read the stores' own cost. The trace is
+     bounded so a long sampling quota neither grows the heap nor stops
+     turning chunks over. *)
+  let payload = Air_model.Event.Module_halt { reason = "bench" } in
+  let trace_record () =
+    let tr = Air_sim.Trace.create ~capacity:65_536 () in
+    let now = ref 0 in
+    Staged.stage (fun () ->
+        incr now;
+        Air_sim.Trace.record tr !now payload)
+  in
+  let event_record () =
+    let sink = Air_obs.Event.create () in
+    let now = ref 0 in
+    Staged.stage (fun () ->
+        incr now;
+        Air_obs.Event.record sink ~time:!now ~kind:"module-halt" payload)
+  in
+  Test.make_grouped ~name:"obs"
+    [ Test.make ~name:"Trace.record" (trace_record ());
+      Test.make ~name:"Obs.Event.record" (event_record ()) ]
 
 (* --- telemetry --------------------------------------------------------------- *)
 
@@ -1005,7 +1034,7 @@ let () =
   let groups =
     [ scheduler_tests; store_tests; pal_tests; ipc_tests; mmu_tests;
       contention_tests; analysis_tests; system_tests; recorder_tests;
-      telemetry_tests; faults_tests; extension_tests; exec_tests;
+      obs_tests; telemetry_tests; faults_tests; extension_tests; exec_tests;
       causal_tests; profiler_tests; fleet_tests ]
   in
   let all_rows =

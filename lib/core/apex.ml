@@ -48,6 +48,7 @@ let pp_outcome ppf = function
 
 type env = {
   partition : Partition.t;
+  pids : Ident.Process_id.t array;
   kernel : Kernel.t;
   intra : Intra.t;
   router : Router.t;
@@ -90,7 +91,7 @@ let replenish env ~process budget =
   | Ok () ->
     env.emit
       (Event.Deadline_registered
-         { process = Partition.process_id env.partition process;
+         { process = env.pids.(process);
            deadline = Kernel.deadline_time env.kernel process });
     Done No_error
   | Error _ -> Done Invalid_param

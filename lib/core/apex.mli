@@ -41,6 +41,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 type env = {
   partition : Partition.t;
+  pids : Ident.Process_id.t array;
+      (** [Partition.process_ids partition], built once at boot. *)
   kernel : Kernel.t;
   intra : Intra.t;
   router : Router.t;

@@ -97,6 +97,7 @@ let create (cfg : config) =
       Pal.create ~metrics ?recorder:cfg.recorder ?telemetry
         ~store:setup.store ~partition:pid ()
     in
+    let pids = Partition.process_ids setup.partition in
     let emit_ev ev =
       let t = the_system () in
       emit t ev
@@ -107,20 +108,17 @@ let create (cfg : config) =
             Pal.register_deadline pal ~process deadline;
             emit_ev
               (Event.Deadline_registered
-                 { process = Partition.process_id setup.partition process;
-                   deadline }));
+                 { process = pids.(process); deadline }));
         unregister_deadline =
           (fun ~process ->
             Pal.unregister_deadline pal ~process;
             emit_ev
-              (Event.Deadline_unregistered
-                 { process = Partition.process_id setup.partition process }));
+              (Event.Deadline_unregistered { process = pids.(process) }));
         on_state_change =
           (fun ~process state ->
             emit_ev
               (Event.Process_state_change
-                 { process = Partition.process_id setup.partition process;
-                   state })) }
+                 { process = pids.(process); state })) }
     in
     let kernel =
       Kernel.create ~partition:pid ~policy:setup.policy ~hooks
@@ -131,6 +129,7 @@ let create (cfg : config) =
     let tasks = Array.init n (fun _ -> { pc = 0; compute_left = 0 }) in
     let rec prt =
       { setup;
+        pids;
         kernel;
         intra;
         pal;
@@ -138,6 +137,7 @@ let create (cfg : config) =
           (fun ~now ~elapsed:_ -> Kernel.announce_ticks kernel ~now);
         env =
           { Apex.partition = setup.partition;
+            pids;
             kernel;
             intra;
             router;

@@ -302,12 +302,14 @@ let chrome_trace t =
   let events =
     List.concat
       (List.init n (fun i ->
-           List.map
-             (fun (time, ev) ->
-               ( time,
-                 Printf.sprintf "m%d:%s" i (Air_model.Event.label ev),
-                 Format.asprintf "%a" Air_model.Event.pp ev ))
-             (Trace.to_list (System.trace t.modules.(i)))))
+           List.rev
+             (Trace.fold
+                (fun acc time ev ->
+                  ( time,
+                    Printf.sprintf "m%d:%s" i (Air_model.Event.label ev),
+                    Format.asprintf "%a" Air_model.Event.pp ev )
+                  :: acc)
+                [] (System.trace t.modules.(i)))))
   in
   let flows =
     List.concat

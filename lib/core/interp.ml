@@ -113,7 +113,7 @@ let exec_action t prt q (action : Script.action) : Apex.outcome =
          { level = Error.Process_level;
            code = Error.Illegal_request;
            partition = Some prt.setup.partition.Partition.id;
-           process = Some (Partition.process_id prt.setup.partition q);
+           process = Some prt.pids.(q);
            detail = "clock interrupt disable attempt trapped (paravirtualized)" });
     Apex.Done Apex.Invalid_mode
 

@@ -115,6 +115,9 @@ type task = {
 
 type prt = {
   setup : partition_setup;
+  pids : Process_id.t array;
+      (* One id per process, built once at boot and shared by every event
+         that names the process. *)
   kernel : Kernel.t;
   intra : Intra.t;
   pal : Pal.t;
@@ -279,8 +282,7 @@ let apply_module_action t (action : Error.module_action) =
 
 let rec apply_process_action t prt q (action : Error.process_action) =
   emit t
-    (Event.Hm_process_action
-       { process = Partition.process_id prt.setup.partition q; action });
+    (Event.Hm_process_action { process = prt.pids.(q); action });
   match action with
   | Error.Ignore_error -> ()
   | Error.Log_then (_, _) ->
@@ -303,7 +305,7 @@ let report_process_error t prt ~process code ~detail =
        { level = Error.Process_level;
          code;
          partition = Some partition;
-         process = Some (Partition.process_id prt.setup.partition process);
+         process = Some prt.pids.(process);
          detail });
   note_hm_invocation t ~partition:(Some (Partition_id.index partition));
   with_hm_span t ~track:(Partition_id.index partition) ~code

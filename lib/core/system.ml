@@ -127,8 +127,7 @@ let drive_partition t prt ~elapsed =
           (fun { Pal.process; deadline } ->
             emit t
               (Event.Deadline_violation
-                 { process = Partition.process_id prt.setup.partition process;
-                   deadline });
+                 { process = prt.pids.(process); deadline });
             report_process_error t prt ~process Error.Deadline_missed
               ~detail:
                 (Format.asprintf "deadline %a missed at %a" Time.pp deadline
@@ -493,10 +492,11 @@ let chrome_trace t =
       Air_obs.Span.spans r @ Air_obs.Span.open_spans r ~now:(now t)
   in
   let events =
-    List.map
-      (fun (time, ev) ->
-        (time, Event.label ev, Format.asprintf "%a" Event.pp ev))
-      (Trace.to_list t.trace)
+    List.rev
+      (Trace.fold
+         (fun acc time ev ->
+           (time, Event.label ev, Format.asprintf "%a" Event.pp ev) :: acc)
+         [] t.trace)
   in
   Air_obs.Trace_export.to_chrome ~tracks:(track_names t) ~events
     ~flows:(flow_entries t) ~meta:(export_meta t) spans
@@ -526,21 +526,23 @@ let regions_of t pid =
   | Some map -> map.Memory.regions
 
 let violations t =
-  List.filter_map
-    (fun (time, ev) ->
-      match ev with
-      | Event.Deadline_violation { process; deadline } ->
-        Some (time, process, deadline)
-      | _ -> None)
-    (Trace.to_list t.trace)
+  List.rev
+    (Trace.fold
+       (fun acc time ev ->
+         match ev with
+         | Event.Deadline_violation { process; deadline } ->
+           (time, process, deadline) :: acc
+         | _ -> acc)
+       [] t.trace)
 
 let activity t =
-  List.filter_map
-    (fun (time, ev) ->
-      match ev with
-      | Event.Context_switch { to_; _ } -> Some (time, to_)
-      | _ -> None)
-    (Trace.to_list t.trace)
+  List.rev
+    (Trace.fold
+       (fun acc time ev ->
+         match ev with
+         | Event.Context_switch { to_; _ } -> (time, to_) :: acc
+         | _ -> acc)
+       [] t.trace)
 
 (* --- Operator interventions -------------------------------------------- *)
 

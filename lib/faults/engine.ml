@@ -263,13 +263,14 @@ let expected_detection (fault : Fault.t) =
    the expected code in the right blame scope, at or after the injection
    instant; then render the action event that answered it. *)
 let match_detections sys working =
-  let events = Array.of_list (Trace.to_list (Air.System.trace sys)) in
-  let consumed = Array.make (Array.length events) false in
+  let trace = Air.System.trace sys in
+  let n = Trace.length trace in
+  let consumed = Array.make n false in
   let find_action ~from ~level =
     let rec go i =
-      if i >= Array.length events then None
+      if i >= n then None
       else begin
-        let _, ev = events.(i) in
+        let ev = Trace.get trace i in
         match (level, ev) with
         | `Process, Event.Hm_process_action { action; _ } ->
           Some (Format.asprintf "%a" Error.pp_process_action action)
@@ -290,10 +291,10 @@ let match_detections sys working =
         | (Absorbed _ | Failed _), _ | _, None -> None
         | Applied, Some (code, where) ->
           let rec scan i =
-            if i >= Array.length events then None
+            if i >= n then None
             else begin
-              let time, ev = events.(i) in
-              match ev with
+              let time = Trace.time_at trace i in
+              match Trace.get trace i with
               | Event.Hm_error { code = c; partition; level; _ }
                 when (not consumed.(i))
                      && time >= match_from

@@ -61,91 +61,90 @@ let output_counts sys =
 let replay_actions ~fail ~count sys =
   let tables = Air.System.hm_tables sys in
   let hm = Air.Hm.create ~tables () in
-  let events = Array.of_list (Trace.to_list (Air.System.trace sys)) in
-  let n = Array.length events in
-  Array.iteri
-    (fun i (time, ev) ->
-      match ev with
-      | Event.Hm_error { level; code; partition; process; _ } ->
-        (* The action events answering this error: same instant, before
-           the next HM error (handling is synchronous). The first of the
-           error's level is the resolved action; a [Log_then] unwrap may
-           append further same-level events, all part of this incident. *)
-        let first_action = ref None in
-        let j = ref (i + 1) in
-        let stop = ref false in
-        while (not !stop) && !j < n do
-          let tj, evj = events.(!j) in
-          if tj <> time then stop := true
-          else begin
-            (match evj with
-            | Event.Hm_error _ -> stop := true
-            | Event.Hm_process_action { process = pr; action }
-              when Error.level_equal level Error.Process_level ->
-              if !first_action = None then
-                first_action := Some (`Process (pr, action))
-            | Event.Hm_partition_action { partition = pa; action }
-              when Error.level_equal level Error.Partition_level ->
-              if !first_action = None then
-                first_action := Some (`Partition (pa, action))
-            | Event.Hm_module_action { action }
-              when Error.level_equal level Error.Module_level ->
-              if !first_action = None then first_action := Some (`Module action)
-            | _ -> ());
-            if not !stop then incr j
-          end
-        done;
-        (match !first_action with
-        | None -> () (* log-only trap; nothing was resolved *)
-        | Some got -> (
-          count ();
-          let mismatch expected_pp got_pp =
-            fail "action-matching"
-              (Format.asprintf
-                 "at %a: %a error resolved to %s but the trace applied %s"
-                 Time.pp time Error.pp_code code expected_pp got_pp)
+  let trace = Air.System.trace sys in
+  let n = Trace.length trace in
+  for i = 0 to n - 1 do
+    let time = Trace.time_at trace i in
+    match Trace.get trace i with
+    | Event.Hm_error { level; code; partition; process; _ } ->
+      (* The action events answering this error: same instant, before
+         the next HM error (handling is synchronous). The first of the
+         error's level is the resolved action; a [Log_then] unwrap may
+         append further same-level events, all part of this incident. *)
+      let first_action = ref None in
+      let j = ref (i + 1) in
+      let stop = ref false in
+      while (not !stop) && !j < n do
+        if Trace.time_at trace !j <> time then stop := true
+        else begin
+          (match Trace.get trace !j with
+          | Event.Hm_error _ -> stop := true
+          | Event.Hm_process_action { process = pr; action }
+            when Error.level_equal level Error.Process_level ->
+            if !first_action = None then
+              first_action := Some (`Process (pr, action))
+          | Event.Hm_partition_action { partition = pa; action }
+            when Error.level_equal level Error.Partition_level ->
+            if !first_action = None then
+              first_action := Some (`Partition (pa, action))
+          | Event.Hm_module_action { action }
+            when Error.level_equal level Error.Module_level ->
+            if !first_action = None then first_action := Some (`Module action)
+          | _ -> ());
+          if not !stop then incr j
+        end
+      done;
+      (match !first_action with
+      | None -> () (* log-only trap; nothing was resolved *)
+      | Some got -> (
+        count ();
+        let mismatch expected_pp got_pp =
+          fail "action-matching"
+            (Format.asprintf
+               "at %a: %a error resolved to %s but the trace applied %s"
+               Time.pp time Error.pp_code code expected_pp got_pp)
+        in
+        match (got, partition, process) with
+        | `Process (pr, action), Some pid, Some prid ->
+          let resolved =
+            Air.Hm.resolve_process_error hm ~partition:pid
+              ~process:(Process_id.index prid) ~code
           in
-          match (got, partition, process) with
-          | `Process (pr, action), Some pid, Some prid ->
-            let resolved =
-              Air.Hm.resolve_process_error hm ~partition:pid
-                ~process:(Process_id.index prid) ~code
-            in
-            if not (Process_id.equal pr prid) then
-              fail "action-matching"
-                (Format.asprintf
-                   "at %a: action applied to %a but the error blamed %a"
-                   Time.pp time Process_id.pp pr Process_id.pp prid)
-            else if resolved <> action then
-              mismatch
-                (Format.asprintf "%a" Error.pp_process_action resolved)
-                (Format.asprintf "%a" Error.pp_process_action action)
-          | `Partition (pa, action), Some pid, _ ->
-            let resolved =
-              Air.Hm.resolve_partition_error hm ~partition:pid ~code
-            in
-            if not (Partition_id.equal pa pid) then
-              fail "action-matching"
-                (Format.asprintf
-                   "at %a: action applied to %a but the error blamed %a"
-                   Time.pp time Partition_id.pp pa Partition_id.pp pid)
-            else if resolved <> action then
-              mismatch
-                (Format.asprintf "%a" Error.pp_partition_action resolved)
-                (Format.asprintf "%a" Error.pp_partition_action action)
-          | `Module action, _, _ ->
-            let resolved = Air.Hm.resolve_module_error hm ~code in
-            if resolved <> action then
-              mismatch
-                (Format.asprintf "%a" Error.pp_module_action resolved)
-                (Format.asprintf "%a" Error.pp_module_action action)
-          | (`Process _ | `Partition _), _, _ ->
+          if not (Process_id.equal pr prid) then
             fail "action-matching"
               (Format.asprintf
-                 "at %a: %a error carries no blamed partition/process"
-                 Time.pp time Error.pp_code code)))
-      | _ -> ())
-    events
+                 "at %a: action applied to %a but the error blamed %a"
+                 Time.pp time Process_id.pp pr Process_id.pp prid)
+          else if resolved <> action then
+            mismatch
+              (Format.asprintf "%a" Error.pp_process_action resolved)
+              (Format.asprintf "%a" Error.pp_process_action action)
+        | `Partition (pa, action), Some pid, _ ->
+          let resolved =
+            Air.Hm.resolve_partition_error hm ~partition:pid ~code
+          in
+          if not (Partition_id.equal pa pid) then
+            fail "action-matching"
+              (Format.asprintf
+                 "at %a: action applied to %a but the error blamed %a"
+                 Time.pp time Partition_id.pp pa Partition_id.pp pid)
+          else if resolved <> action then
+            mismatch
+              (Format.asprintf "%a" Error.pp_partition_action resolved)
+              (Format.asprintf "%a" Error.pp_partition_action action)
+        | `Module action, _, _ ->
+          let resolved = Air.Hm.resolve_module_error hm ~code in
+          if resolved <> action then
+            mismatch
+              (Format.asprintf "%a" Error.pp_module_action resolved)
+              (Format.asprintf "%a" Error.pp_module_action action)
+        | (`Process _ | `Partition _), _, _ ->
+          fail "action-matching"
+            (Format.asprintf
+               "at %a: %a error carries no blamed partition/process"
+               Time.pp time Error.pp_code code)))
+    | _ -> ()
+  done
 
 let check ?(options = default_options) (run : Engine.run) =
   let sys = Engine.system run in

@@ -412,10 +412,10 @@ let fingerprint_text cluster =
       List.iter
         (fun (k, n) -> Format.fprintf ppf "  event %s=%d@." k n)
         (System.event_counts sys);
-      List.iter
-        (fun (time, ev) ->
+      Air_sim.Trace.iter
+        (fun time ev ->
           Format.fprintf ppf "  trace %d %a@." time Air_model.Event.pp ev)
-        (Air_sim.Trace.to_list (System.trace sys));
+        (System.trace sys);
       Format.fprintf ppf "  telemetry %s@."
         (Digest.to_hex
            (Digest.string

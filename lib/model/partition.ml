@@ -45,6 +45,8 @@ let process_id t q =
     invalid_arg "Partition.process_id: index out of range";
   Ident.Process_id.make t.id q
 
+let process_ids t = Array.init (Array.length t.processes) (process_id t)
+
 let find_process t name =
   let rec go q =
     if q >= Array.length t.processes then None

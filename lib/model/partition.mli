@@ -50,6 +50,11 @@ val process_id : t -> int -> Ident.Process_id.t
 (** [process_id p q] is the id of τ_(m,q). Raises [Invalid_argument] when
     [q] is out of range. *)
 
+val process_ids : t -> Ident.Process_id.t array
+(** Every process id of the partition, indexed by process — built once so
+    event emitters can share the ids instead of allocating one per
+    event. *)
+
 val find_process : t -> string -> (int * Process.spec) option
 (** Look up a process by name. *)
 

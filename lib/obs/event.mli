@@ -4,8 +4,15 @@
     The sink is polymorphic in its payload so each layer can attach its own
     typed event (e.g. [Air_model.Event.t] at the system level) without the
     observability library depending on model types. Recording is O(1): one
-    array store, one hash-table bump. Unlike a trace, the per-kind totals
-    never decay — only the payload ring is bounded. *)
+    store into each ring array, one hash-table bump. Unlike a trace, the
+    per-kind totals never decay — only the payload ring is bounded.
+
+    Memory layout: the ring is three parallel arrays of [capacity] slots —
+    times, kinds and payloads. The time and kind arrays are allocated by
+    {!create}; the payload array by the first {!record}, filled with that
+    payload, so no dummy value is needed. Once the payload array exists,
+    recording an already-seen kind allocates nothing; {!recent} builds its
+    [entry] records only when called. *)
 
 type 'a entry = { time : int; kind : string; payload : 'a }
 
@@ -28,5 +35,4 @@ val counts : 'a t -> (string * int) list
 val recent : 'a t -> 'a entry list
 (** Oldest-first list of the retained tail of the event stream. *)
 
-val clear : 'a t -> unit
 val pp_counts : Format.formatter -> 'a t -> unit

@@ -360,13 +360,16 @@ let rec next_wake_loop pcbs n q acc =
 
 let next_wake t = next_wake_loop t.pcbs (Array.length t.pcbs) 0 Time.infinity
 
-let has_schedulable t =
-  Array.exists
-    (fun p ->
-      match p.state with
-      | Process.Ready | Process.Running -> true
-      | Process.Dormant | Process.Waiting -> false)
-    t.pcbs
+(* A top-level loop rather than [Array.exists], whose closure would be
+   allocated on every quiescence probe. *)
+let rec schedulable_from pcbs q =
+  q < Array.length pcbs
+  &&
+  match pcbs.(q).state with
+  | Process.Ready | Process.Running -> true
+  | Process.Dormant | Process.Waiting -> schedulable_from pcbs (q + 1)
+
+let has_schedulable t = schedulable_from t.pcbs 0
 
 let ready_set t =
   let acc = ref [] in

@@ -16,6 +16,7 @@ let () =
       ("multicore", Test_multicore.suite);
       ("obs", Test_obs.suite);
       ("trace", Test_trace.suite);
+      ("event-path", Test_event_path.suite);
       ("telemetry", Test_telemetry.suite);
       ("misc", Test_misc.suite);
       ("properties", Test_properties.suite);

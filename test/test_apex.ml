@@ -175,11 +175,14 @@ let simple_env () =
 (* Reconstruct an env equivalent to the production one for direct calls. *)
 let env_of s =
   let p = pid 0 in
-  { Apex.partition =
-      Partition.make ~id:p ~name:"ENV" ~kind:Partition.System
-        [ Process.spec ~periodicity:(Process.Periodic 50) ~time_capacity:50
-            ~wcet:5 ~base_priority:3 "a";
-          Process.spec ~base_priority:7 "b" ];
+  let partition =
+    Partition.make ~id:p ~name:"ENV" ~kind:Partition.System
+      [ Process.spec ~periodicity:(Process.Periodic 50) ~time_capacity:50
+          ~wcet:5 ~base_priority:3 "a";
+        Process.spec ~base_priority:7 "b" ]
+  in
+  { Apex.partition;
+    pids = Partition.process_ids partition;
     kernel = System.kernel_of s p;
     intra = System.intra_of s p;
     router = System.router s;
@@ -266,10 +269,13 @@ let port_errors_via_apex () =
   let s = queuing_system ~receiver_timeout:Time.zero () in
   System.run s ~ticks:5;
   (* Build an env for the SENDER partition and misuse its ports. *)
+  let partition =
+    Partition.make ~id:(pid 0) ~name:"SENDER"
+      [ Process.spec ~base_priority:5 "tx" ]
+  in
   let env =
-    { Apex.partition =
-        Partition.make ~id:(pid 0) ~name:"SENDER"
-          [ Process.spec ~base_priority:5 "tx" ];
+    { Apex.partition;
+      pids = Partition.process_ids partition;
       kernel = System.kernel_of s (pid 0);
       intra = System.intra_of s (pid 0);
       router = System.router s;
