@@ -82,7 +82,6 @@ let create (cfg : config) =
     Protection.create ~metrics ~contexts:(partition_count + 1) maps
   in
   let trace = Trace.create ?capacity:cfg.trace_capacity () in
-  let events = Air_obs.Event.create () in
   (* The system record is knotted with the per-partition closures through
      this forward reference. *)
   let system_ref = ref None in
@@ -173,8 +172,9 @@ let create (cfg : config) =
     Array.of_list (List.map make_prt cfg.partitions)
   in
   let t =
-    { cfg; lane; hm; router; protection; trace; metrics; events; telemetry;
-      contention; partitions; halt_reason = None }
+    { cfg; lane; hm; router; protection; trace; metrics;
+      event_counts = Array.make Event.kind_count 0; telemetry; contention;
+      partitions; halt_reason = None }
   in
   system_ref := Some t;
   t

@@ -144,7 +144,7 @@ type t = {
   protection : Protection.t;
   trace : Event.t Trace.t;
   metrics : Air_obs.Metrics.t;
-  events : Event.t Air_obs.Event.t;
+  event_counts : int array; (* lifetime totals, by [Event.kind_index] *)
   telemetry : Air_obs.Telemetry.t option;
   contention : Contention.t option;
   partitions : prt array;
@@ -160,7 +160,8 @@ let now t =
 
 let emit t ev =
   Trace.record t.trace (now t) ev;
-  Air_obs.Event.record t.events ~time:(now t) ~kind:(Event.label ev) ev
+  let k = Event.kind_index ev in
+  t.event_counts.(k) <- t.event_counts.(k) + 1
 
 (* Flight recorder: a Health Monitor handler invocation becomes a span on
    the affected track (simulated time does not advance during handling, so

@@ -430,7 +430,13 @@ let metrics_snapshot t =
       (Air_obs.Metrics.gauge t.metrics "causal.dropped_records")
       (Air_obs.Causal.dropped c));
   Air_obs.Metrics.snapshot t.metrics
-let event_counts t = Air_obs.Event.counts t.events
+(* Kinds seen so far, sorted by label. *)
+let event_counts t =
+  let seen = ref [] in
+  Array.iteri
+    (fun k n -> if n > 0 then seen := (Event.kind_label k, n) :: !seen)
+    t.event_counts;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !seen
 
 let metrics_report t =
   Air_obs.Report.to_string ~events:(event_counts t) (metrics_snapshot t)

@@ -52,28 +52,56 @@ type t =
   | Module_halt of { reason : string }
   | Fault_injected of { label : string }
 
-let label = function
-  | Context_switch _ -> "context-switch"
-  | Schedule_switch_request _ -> "schedule-switch-request"
-  | Schedule_switch _ -> "schedule-switch"
-  | Change_action _ -> "change-action"
-  | Partition_mode_change _ -> "partition-mode-change"
-  | Process_state_change _ -> "process-state-change"
-  | Process_dispatched _ -> "process-dispatched"
-  | Deadline_registered _ -> "deadline-registered"
-  | Deadline_unregistered _ -> "deadline-unregistered"
-  | Deadline_violation _ -> "deadline-violation"
-  | Hm_error _ -> "hm-error"
-  | Hm_process_action _ -> "hm-process-action"
-  | Hm_partition_action _ -> "hm-partition-action"
-  | Hm_module_action _ -> "hm-module-action"
-  | Port_send _ -> "port-send"
-  | Port_receive _ -> "port-receive"
-  | Port_overflow _ -> "port-overflow"
-  | Memory_access _ -> "memory-access"
-  | Application_output _ -> "application-output"
-  | Module_halt _ -> "module-halt"
-  | Fault_injected _ -> "fault-injected"
+(* Kind labels, indexed by [kind_index]. *)
+let kind_labels =
+  [| "context-switch";
+     "schedule-switch-request";
+     "schedule-switch";
+     "change-action";
+     "partition-mode-change";
+     "process-state-change";
+     "process-dispatched";
+     "deadline-registered";
+     "deadline-unregistered";
+     "deadline-violation";
+     "hm-error";
+     "hm-process-action";
+     "hm-partition-action";
+     "hm-module-action";
+     "port-send";
+     "port-receive";
+     "port-overflow";
+     "memory-access";
+     "application-output";
+     "module-halt";
+     "fault-injected" |]
+
+let kind_index = function
+  | Context_switch _ -> 0
+  | Schedule_switch_request _ -> 1
+  | Schedule_switch _ -> 2
+  | Change_action _ -> 3
+  | Partition_mode_change _ -> 4
+  | Process_state_change _ -> 5
+  | Process_dispatched _ -> 6
+  | Deadline_registered _ -> 7
+  | Deadline_unregistered _ -> 8
+  | Deadline_violation _ -> 9
+  | Hm_error _ -> 10
+  | Hm_process_action _ -> 11
+  | Hm_partition_action _ -> 12
+  | Hm_module_action _ -> 13
+  | Port_send _ -> 14
+  | Port_receive _ -> 15
+  | Port_overflow _ -> 16
+  | Memory_access _ -> 17
+  | Application_output _ -> 18
+  | Module_halt _ -> 19
+  | Fault_injected _ -> 20
+
+let kind_count = Array.length kind_labels
+let kind_label i = kind_labels.(i)
+let label ev = kind_labels.(kind_index ev)
 
 let pp_opt pp ppf = function
   | None -> Format.pp_print_string ppf "idle"

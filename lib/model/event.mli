@@ -84,6 +84,13 @@ val label : t -> string
 (** Stable kebab-case kind name of the constructor (e.g. "context-switch"),
     used as the event-kind key in observability reports. *)
 
+val kind_index : t -> int
+(** Dense index of the constructor, in [0, kind_count): what per-kind
+    counters are indexed by. [label ev = kind_label (kind_index ev)]. *)
+
+val kind_count : int
+val kind_label : int -> string
+
 (** {1 Trace queries used by experiments} *)
 
 val is_deadline_violation : t -> bool

@@ -1,7 +1,6 @@
-(* The event path: the chunked trace against a plain list model, the
-   structured-event sink's ring, and the allocation budget of recording
-   (nothing beyond the event's own payload) and of the kernel's quiescence
-   probe. *)
+(* The event path: the chunked trace against a plain list model, and the
+   allocation budget of recording (nothing beyond the event's own payload)
+   and of the kernel's quiescence probe. *)
 
 open Air_sim
 
@@ -91,48 +90,6 @@ let trace_get_out_of_range () =
       | exception Invalid_argument _ -> ())
     [ -1; 3 ]
 
-(* --- Event sink ------------------------------------------------------------ *)
-
-let payloads sink =
-  List.map (fun e -> e.Air_obs.Event.payload) (Air_obs.Event.recent sink)
-
-let event_sink_empty () =
-  let sink = Air_obs.Event.create () in
-  check Alcotest.(list int) "recent before any record" [] (payloads sink);
-  check Alcotest.int "total" 0 (Air_obs.Event.total sink);
-  check Alcotest.(list (pair string int)) "counts" []
-    (Air_obs.Event.counts sink)
-
-let event_sink_capacity_one () =
-  let sink = Air_obs.Event.create ~capacity:1 () in
-  for i = 1 to 5 do Air_obs.Event.record sink ~time:(10 * i) ~kind:"k" i done;
-  match Air_obs.Event.recent sink with
-  | [ e ] ->
-    check Alcotest.int "payload" 5 e.Air_obs.Event.payload;
-    check Alcotest.int "time" 50 e.Air_obs.Event.time;
-    check Alcotest.string "kind" "k" e.Air_obs.Event.kind;
-    check Alcotest.int "count" 5 (Air_obs.Event.count sink "k")
-  | l -> Alcotest.failf "%d entries retained, expected 1" (List.length l)
-
-let event_sink_wraps () =
-  let sink = Air_obs.Event.create ~capacity:7 () in
-  let kinds = [| "a"; "b"; "c" |] in
-  for i = 0 to 999 do
-    Air_obs.Event.record sink ~time:i ~kind:kinds.(i mod 3) i
-  done;
-  check Alcotest.(list int) "last seven, oldest first"
-    (List.init 7 (fun k -> 993 + k))
-    (payloads sink);
-  check Alcotest.(list (pair int string)) "times and kinds travel together"
-    (List.init 7 (fun k -> (993 + k, kinds.((993 + k) mod 3))))
-    (List.map
-       (fun e -> (e.Air_obs.Event.time, e.Air_obs.Event.kind))
-       (Air_obs.Event.recent sink));
-  check Alcotest.int "total" 1000 (Air_obs.Event.total sink);
-  check Alcotest.(list (pair string int)) "counts never decay"
-    [ ("a", 334); ("b", 333); ("c", 333) ]
-    (Air_obs.Event.counts sink)
-
 (* --- Allocation budget ----------------------------------------------------- *)
 
 (* [Gc.minor_words] itself returns a boxed float, so the probe's own cost
@@ -164,16 +121,22 @@ let trace_record_allocates_nothing () =
          for i = 1 to 8 * chunk do Trace.record bounded i payload done));
   check Alcotest.int "bounded length" 100 (Trace.length bounded)
 
-let event_record_allocates_nothing () =
-  let payload = "already allocated" in
-  let sink = Air_obs.Event.create () in
-  Air_obs.Event.record sink ~time:0 ~kind:"seen" payload;
-  check (Alcotest.float 0.) "seen kind, allocated payload" 0.
+(* Every emit feeds the trace and the per-kind counts; with the trace
+   inside a chunk, an emitted [Fault_injected] costs only its own
+   two-word payload. *)
+let emit_allocates_only_the_payload () =
+  let s = Air_workload.Satellite.make () in
+  Air.System.run s ~ticks:100;
+  let label = "already allocated" in
+  Air.System.note_fault s ~label;
+  let room = chunk - 1 - (Trace.total (Air.System.trace s) mod chunk) in
+  check Alcotest.bool "room left in the chunk" true (room > 0);
+  check (Alcotest.float 0.) "payload words only"
+    (float_of_int (2 * room))
     (minor_words_of (fun () ->
-         for i = 1 to 1000 do
-           Air_obs.Event.record sink ~time:i ~kind:"seen" payload
-         done));
-  check Alcotest.int "counted" 1001 (Air_obs.Event.count sink "seen")
+         for _ = 1 to room do Air.System.note_fault s ~label done));
+  check Alcotest.(option int) "counted" (Some (room + 1))
+    (List.assoc_opt "fault-injected" (Air.System.event_counts s))
 
 let has_schedulable_allocates_nothing () =
   let s = Air_workload.Satellite.make () in
@@ -188,14 +151,9 @@ let has_schedulable_allocates_nothing () =
 let suite =
   [ qcheck trace_matches_list_model;
     Alcotest.test_case "trace: get out of range" `Quick trace_get_out_of_range;
-    Alcotest.test_case "event sink: recent before first record" `Quick
-      event_sink_empty;
-    Alcotest.test_case "event sink: capacity one" `Quick
-      event_sink_capacity_one;
-    Alcotest.test_case "event sink: many wrap-arounds" `Quick event_sink_wraps;
     Alcotest.test_case "alloc: Trace.record" `Quick
       trace_record_allocates_nothing;
-    Alcotest.test_case "alloc: Obs.Event.record" `Quick
-      event_record_allocates_nothing;
+    Alcotest.test_case "alloc: System emit" `Quick
+      emit_allocates_only_the_payload;
     Alcotest.test_case "alloc: Kernel.has_schedulable" `Quick
       has_schedulable_allocates_nothing ]
