@@ -1,401 +1,2 @@
-open Air_sim
-open Air_model
-open Air_pos
-open Air_ipc
-
-let atom s = Sexp.Atom s
-let list l = Sexp.List l
-let field name args = list (atom name :: args)
-let int n = atom (string_of_int n)
-
-let time t = if Time.is_infinite t then atom "infinite" else int t
-
-let timeout t = if t = Time.zero then atom "poll" else time t
-
-(* Names are positional: partition index i refers to the i-th declared
-   partition, schedule index likewise. *)
-type names = { partitions : string array; schedules : string array }
-
-let partition_name names pid =
-  let i = Ident.Partition_id.index pid in
-  if i >= Array.length names.partitions then
-    invalid_arg "Encode: partition index out of range"
-  else names.partitions.(i)
-
-let encode_action names = function
-  | Script.Compute n -> field "compute" [ int n ]
-  | Script.Periodic_wait -> list [ atom "periodic-wait" ]
-  | Script.Timed_wait d -> field "timed-wait" [ time d ]
-  | Script.Replenish b -> field "replenish" [ time b ]
-  | Script.Write_sampling (port, msg) ->
-    field "write-sampling" [ atom port; atom msg ]
-  | Script.Read_sampling port -> field "read-sampling" [ atom port ]
-  | Script.Send_queuing (port, msg) ->
-    field "send-queuing" [ atom port; atom msg ]
-  | Script.Receive_queuing (port, tmo) ->
-    field "receive-queuing" [ atom port; timeout tmo ]
-  | Script.Wait_semaphore (name, tmo) ->
-    field "wait-semaphore" [ atom name; timeout tmo ]
-  | Script.Signal_semaphore name -> field "signal-semaphore" [ atom name ]
-  | Script.Wait_event (name, tmo) ->
-    field "wait-event" [ atom name; timeout tmo ]
-  | Script.Set_event name -> field "set-event" [ atom name ]
-  | Script.Reset_event name -> field "reset-event" [ atom name ]
-  | Script.Display_blackboard (name, msg) ->
-    field "display-blackboard" [ atom name; atom msg ]
-  | Script.Clear_blackboard name -> field "clear-blackboard" [ atom name ]
-  | Script.Read_blackboard (name, tmo) ->
-    field "read-blackboard" [ atom name; timeout tmo ]
-  | Script.Send_buffer (name, msg, tmo) ->
-    field "send-buffer" [ atom name; atom msg; timeout tmo ]
-  | Script.Receive_buffer (name, tmo) ->
-    field "receive-buffer" [ atom name; timeout tmo ]
-  | Script.Read_memory addr -> field "read-memory" [ int addr ]
-  | Script.Write_memory addr -> field "write-memory" [ int addr ]
-  | Script.Log msg -> field "log" [ atom msg ]
-  | Script.Raise_application_error msg -> field "raise-error" [ atom msg ]
-  | Script.Request_schedule i ->
-    if i >= Array.length names.schedules then
-      invalid_arg "Encode: schedule index out of range"
-    else field "request-schedule" [ atom names.schedules.(i) ]
-  | Script.Log_schedule_status -> list [ atom "log-schedule-status" ]
-  | Script.Suspend_self tmo -> field "suspend-self" [ timeout tmo ]
-  | Script.Resume_process name -> field "resume" [ atom name ]
-  | Script.Start_other name -> field "start" [ atom name ]
-  | Script.Stop_other name -> field "stop" [ atom name ]
-  | Script.Stop_self -> list [ atom "stop-self" ]
-  | Script.Disable_interrupts -> list [ atom "disable-interrupts" ]
-  | Script.Lock_preemption -> list [ atom "lock-preemption" ]
-  | Script.Unlock_preemption -> list [ atom "unlock-preemption" ]
-
-let encode_periodicity = function
-  | Process.Aperiodic -> atom "aperiodic"
-  | Process.Periodic t -> time t
-  | Process.Sporadic t -> list [ atom "sporadic"; time t ]
-
-let encode_process names (spec : Process.spec) (script : Script.t) autostart =
-  let fields =
-    [ field "name" [ atom spec.Process.name ];
-      field "period" [ encode_periodicity spec.Process.periodicity ];
-      field "capacity" [ time spec.Process.time_capacity ];
-      field "wcet" [ time spec.Process.wcet ];
-      field "priority" [ int spec.Process.base_priority ];
-      field "autostart" [ atom (if autostart then "true" else "false") ];
-      field "script"
-        (List.map (encode_action names) (Array.to_list script.Script.body)) ]
-  in
-  let fields =
-    match script.Script.on_end with
-    | Script.Repeat -> fields
-    | Script.Stop -> fields @ [ field "on-end" [ atom "stop" ] ]
-  in
-  list (atom "process" :: fields)
-
-let encode_policy = function
-  | Kernel.Priority_preemptive -> atom "priority"
-  | Kernel.Round_robin { quantum } ->
-    list [ atom "round-robin"; int quantum ]
-
-let encode_store = function
-  | Air.Deadline_store.Linked_list_impl -> atom "linked-list"
-  | Air.Deadline_store.Avl_impl -> atom "avl-tree"
-  | Air.Deadline_store.Pairing_impl -> atom "pairing-heap"
-
-let encode_discipline = function
-  | Intra.Fifo -> atom "fifo"
-  | Intra.Priority -> atom "priority"
-
-let encode_intra_object = function
-  | Air.System.Semaphore_object { name; initial; maximum; discipline } ->
-    list
-      [ atom "semaphore"; atom name; int initial; int maximum;
-        encode_discipline discipline ]
-  | Air.System.Event_object { name } -> list [ atom "event"; atom name ]
-  | Air.System.Blackboard_object { name; max_message_size } ->
-    list [ atom "blackboard"; atom name; int max_message_size ]
-  | Air.System.Buffer_object { name; depth; max_message_size; discipline } ->
-    list
-      [ atom "buffer"; atom name; int depth; int max_message_size;
-        encode_discipline discipline ]
-
-let encode_partition names (setup : Air.System.partition_setup) =
-  let p = setup.Air.System.partition in
-  let processes =
-    List.init (Array.length p.Partition.processes) (fun q ->
-        encode_process names
-          p.Partition.processes.(q)
-          setup.Air.System.scripts.(q)
-          setup.Air.System.autostart.(q))
-  in
-  let fields =
-    [ field "name" [ atom p.Partition.name ];
-      field "kind"
-        [ atom
-            (match p.Partition.kind with
-            | Partition.Application -> "application"
-            | Partition.System -> "system") ];
-      field "policy" [ encode_policy setup.Air.System.policy ];
-      field "deadline-store" [ encode_store setup.Air.System.store ];
-      field "processes" processes ]
-  in
-  let fields =
-    match setup.Air.System.intra_objects with
-    | [] -> fields
-    | objects ->
-      fields @ [ field "objects" (List.map encode_intra_object objects) ]
-  in
-  let fields =
-    match setup.Air.System.error_handler with
-    | None -> fields
-    | Some name -> fields @ [ field "error-handler" [ atom name ] ]
-  in
-  list (atom "partition" :: fields)
-
-let encode_schedule names (s : Schedule.t) =
-  let req (r : Schedule.requirement) =
-    list
-      (atom "req"
-      :: [ field "partition" [ atom (partition_name names r.partition) ];
-           field "cycle" [ time r.cycle ];
-           field "duration" [ time r.duration ] ])
-  in
-  let win (w : Schedule.window) =
-    list
-      (atom "window"
-      :: [ field "partition" [ atom (partition_name names w.partition) ];
-           field "offset" [ time w.offset ];
-           field "duration" [ time w.duration ] ])
-  in
-  let action (p, a) =
-    list
-      [ atom (partition_name names p);
-        atom
-          (match a with
-          | Schedule.No_action -> "no-action"
-          | Schedule.Warm_restart_partition -> "warm-restart"
-          | Schedule.Cold_restart_partition -> "cold-restart") ]
-  in
-  let fields =
-    [ field "name" [ atom s.Schedule.name ];
-      field "mtf" [ time s.Schedule.mtf ];
-      field "requirements" (List.map req s.Schedule.requirements);
-      field "windows" (List.map win s.Schedule.windows) ]
-  in
-  let fields =
-    if s.Schedule.change_actions = [] then fields
-    else fields @ [ field "change-actions" (List.map action s.Schedule.change_actions) ]
-  in
-  list (atom "schedule" :: fields)
-
-let encode_port names (c : Port.config) =
-  let common =
-    [ field "name" [ atom c.Port.name ];
-      field "partition" [ atom (partition_name names c.Port.partition) ];
-      field "direction"
-        [ atom
-            (match c.Port.direction with
-            | Port.Source -> "source"
-            | Port.Destination -> "destination") ];
-      field "max-size" [ int c.Port.max_message_size ] ]
-  in
-  match c.Port.kind with
-  | Port.Sampling { refresh } ->
-    list (atom "sampling-port" :: common @ [ field "refresh" [ time refresh ] ])
-  | Port.Queuing { depth } ->
-    list (atom "queuing-port" :: common @ [ field "depth" [ int depth ] ])
-
-let encode_channel (ch : Port.channel) =
-  list
-    (atom "channel"
-    :: [ field "source" [ atom ch.Port.source ];
-         field "destinations" (List.map atom ch.Port.destinations) ])
-
-let encode_error_code (c : Error.code) =
-  atom (Format.asprintf "%a" Error.pp_code c)
-
-let rec encode_process_action = function
-  | Error.Ignore_error -> atom "ignore"
-  | Error.Restart_process -> atom "restart-process"
-  | Error.Stop_process -> atom "stop-process"
-  | Error.Stop_partition_of_process -> atom "stop-partition"
-  | Error.Restart_partition_of_process mode ->
-    list
-      [ atom "restart-partition";
-        atom
-          (match mode with
-          | Partition.Warm_start -> "warm"
-          | Partition.Cold_start | Partition.Normal | Partition.Idle -> "cold") ]
-  | Error.Log_then (n, inner) ->
-    list [ atom "log-then"; int n; encode_process_action inner ]
-
-let encode_partition_action = function
-  | Error.Partition_ignore -> atom "ignore"
-  | Error.Partition_idle -> atom "idle"
-  | Error.Partition_warm_restart -> atom "warm-restart"
-  | Error.Partition_cold_restart -> atom "cold-restart"
-
-let encode_module_action = function
-  | Error.Module_ignore -> atom "ignore"
-  | Error.Module_shutdown -> atom "shutdown"
-  | Error.Module_reset -> atom "reset"
-
-let encode_hm names (tables : Air.Hm.tables) =
-  let process_entries =
-    List.map
-      (fun (p, code, action) ->
-        list
-          [ atom (partition_name names p); encode_error_code code;
-            encode_process_action action ])
-      tables.Air.Hm.process_actions
-    @ List.map
-        (fun (code, action) ->
-          list
-            [ atom "*"; encode_error_code code;
-              encode_process_action action ])
-        tables.Air.Hm.process_defaults
-  in
-  let partition_entries =
-    List.map
-      (fun (p, code, action) ->
-        list
-          [ atom (partition_name names p); encode_error_code code;
-            encode_partition_action action ])
-      tables.Air.Hm.partition_actions
-    @ List.map
-        (fun (code, action) ->
-          list
-            [ atom "*"; encode_error_code code;
-              encode_partition_action action ])
-        tables.Air.Hm.partition_defaults
-  in
-  let module_entries =
-    List.map
-      (fun (code, action) ->
-        list [ encode_error_code code; encode_module_action action ])
-      tables.Air.Hm.module_actions
-  in
-  match (process_entries, partition_entries, module_entries) with
-  | [], [], [] -> None
-  | _ ->
-    Some
-      (field "hm"
-         (List.concat
-            [ (if process_entries = [] then []
-               else [ field "process-errors" process_entries ]);
-              (if partition_entries = [] then []
-               else [ field "partition-errors" partition_entries ]);
-              (if module_entries = [] then []
-               else [ field "module-errors" module_entries ]) ]))
-
-let encode_watchdog ~schedule (w : Air_obs.Telemetry.watchdog) =
-  let threshold name v =
-    match v with None -> [] | Some n -> [ field name [ int n ] ]
-  in
-  list
-    (atom "watchdog"
-    :: field "schedule" [ atom schedule ]
-    :: List.concat
-         [ threshold "min-slack" w.Air_obs.Telemetry.min_slack;
-           threshold "max-jitter-p99" w.Air_obs.Telemetry.max_jitter_p99;
-           threshold "max-catch-up" w.Air_obs.Telemetry.max_catch_up;
-           threshold "max-deadline-misses"
-             w.Air_obs.Telemetry.max_deadline_misses ])
-
-let encode_telemetry names (c : Air_obs.Telemetry.config) =
-  let retention =
-    match c.Air_obs.Telemetry.retention with
-    | None -> []
-    | Some r -> [ field "retention" [ int r ] ]
-  in
-  let watchdogs =
-    (if Air_obs.Telemetry.watchdog_is_trivial
-          c.Air_obs.Telemetry.default_watchdog
-     then []
-     else
-       [ encode_watchdog ~schedule:"*" c.Air_obs.Telemetry.default_watchdog ])
-    @ List.map
-        (fun (i, w) ->
-          if i >= Array.length names.schedules then
-            invalid_arg "Encode: telemetry schedule index out of range"
-          else encode_watchdog ~schedule:names.schedules.(i) w)
-        c.Air_obs.Telemetry.schedule_watchdogs
-  in
-  field "telemetry"
-    (retention
-    @ match watchdogs with [] -> [] | ws -> [ field "watchdogs" ws ])
-
-let encode_contention names (c : Air_spatial.Contention.config) =
-  let budget =
-    field "default" [ int c.Air_spatial.Contention.default_budget ]
-    :: List.map
-         (fun (i, b) ->
-           if i >= Array.length names.partitions then
-             invalid_arg "Encode: contention partition index out of range"
-           else list [ atom names.partitions.(i); int b ])
-         c.Air_spatial.Contention.budgets
-  in
-  let curve =
-    List.map
-      (fun (t, s) -> list [ int t; int s ])
-      c.Air_spatial.Contention.curve
-  in
-  field "contention"
-    (field "budget" budget
-     :: field "curve" curve
-     :: field "compute-cost" [ int c.Air_spatial.Contention.compute_cost ]
-     :: [ field "pressure-decay"
-            [ int c.Air_spatial.Contention.pressure_decay_permille ] ])
-
-let encode (cfg : Air.System.config) =
-  let names =
-    { partitions =
-        Array.of_list
-          (List.map
-             (fun (s : Air.System.partition_setup) ->
-               s.Air.System.partition.Partition.name)
-             cfg.Air.System.partitions);
-      schedules =
-        Array.of_list
-          (List.map (fun (s : Schedule.t) -> s.Schedule.name)
-             cfg.Air.System.schedules) }
-  in
-  let fields =
-    [ field "partitions"
-        (List.map (encode_partition names) cfg.Air.System.partitions);
-      field "schedules"
-        (List.map (encode_schedule names) cfg.Air.System.schedules) ]
-  in
-  let fields =
-    match cfg.Air.System.network.Port.ports with
-    | [] -> fields
-    | ports ->
-      fields
-      @ [ field "ports" (List.map (encode_port names) ports);
-          field "channels"
-            (List.map encode_channel cfg.Air.System.network.Port.channels) ]
-  in
-  let fields =
-    match cfg.Air.System.initial_schedule with
-    | None -> fields
-    | Some id ->
-      let i = Ident.Schedule_id.index id in
-      fields @ [ field "initial-schedule" [ atom names.schedules.(i) ] ]
-  in
-  let fields =
-    match encode_hm names cfg.Air.System.hm_tables with
-    | None -> fields
-    | Some hm -> fields @ [ hm ]
-  in
-  let fields =
-    match cfg.Air.System.telemetry with
-    | None -> fields
-    | Some c -> fields @ [ encode_telemetry names c ]
-  in
-  let fields =
-    match cfg.Air.System.contention with
-    | None -> fields
-    | Some c -> fields @ [ encode_contention names c ]
-  in
-  list (atom "air-system" :: fields)
-
+let encode cfg = Grammar.system.Codec.enc (Grammar.names_of_config cfg) cfg
 let to_string cfg = Sexp.to_string (encode cfg)

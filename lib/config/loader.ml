@@ -1,943 +1,33 @@
-open Air_sim
-open Air_model
-open Air_pos
-open Air_ipc
 open Decode
 
-(* Name → index environments built from declaration order. *)
-type env = {
-  partition_names : string list;
-  schedule_names : string list;
-}
+let parse_error e = Error (Format.asprintf "%a" Sexp.pp_error e)
 
-let index_of env_list kind name =
-  let rec go i = function
-    | [] -> error "unknown %s %s" kind name
-    | n :: rest -> if String.equal n name then Ok i else go (i + 1) rest
-  in
-  go 0 env_list
+let decode_system doc =
+  let* names = Grammar.names_of_doc doc in
+  Grammar.system.Codec.dec names doc
 
-let partition_id env name =
-  let* i = index_of env.partition_names "partition" name in
-  Ok (Ident.Partition_id.make i)
-
-(* --- Scripts ------------------------------------------------------------ *)
-
-let decode_action env s : Script.action t =
-  let* tag, args = tag_of s in
-  let str x = atom x in
-  match (tag, args) with
-  | "compute", [ n ] ->
-    let* n = int n in
-    Ok (Script.Compute n)
-  | "periodic-wait", [] -> Ok Script.Periodic_wait
-  | "timed-wait", [ d ] ->
-    let* d = time d in
-    Ok (Script.Timed_wait d)
-  | "replenish", [ b ] ->
-    let* b = time b in
-    Ok (Script.Replenish b)
-  | "write-sampling", [ port; msg ] ->
-    let* port = str port in
-    let* msg = str msg in
-    Ok (Script.Write_sampling (port, msg))
-  | "read-sampling", [ port ] ->
-    let* port = str port in
-    Ok (Script.Read_sampling port)
-  | "send-queuing", [ port; msg ] ->
-    let* port = str port in
-    let* msg = str msg in
-    Ok (Script.Send_queuing (port, msg))
-  | "receive-queuing", [ port; tmo ] ->
-    let* port = str port in
-    let* tmo = timeout tmo in
-    Ok (Script.Receive_queuing (port, tmo))
-  | "wait-semaphore", [ name; tmo ] ->
-    let* name = str name in
-    let* tmo = timeout tmo in
-    Ok (Script.Wait_semaphore (name, tmo))
-  | "signal-semaphore", [ name ] ->
-    let* name = str name in
-    Ok (Script.Signal_semaphore name)
-  | "wait-event", [ name; tmo ] ->
-    let* name = str name in
-    let* tmo = timeout tmo in
-    Ok (Script.Wait_event (name, tmo))
-  | "set-event", [ name ] ->
-    let* name = str name in
-    Ok (Script.Set_event name)
-  | "reset-event", [ name ] ->
-    let* name = str name in
-    Ok (Script.Reset_event name)
-  | "display-blackboard", [ name; msg ] ->
-    let* name = str name in
-    let* msg = str msg in
-    Ok (Script.Display_blackboard (name, msg))
-  | "clear-blackboard", [ name ] ->
-    let* name = str name in
-    Ok (Script.Clear_blackboard name)
-  | "read-blackboard", [ name; tmo ] ->
-    let* name = str name in
-    let* tmo = timeout tmo in
-    Ok (Script.Read_blackboard (name, tmo))
-  | "send-buffer", [ name; msg; tmo ] ->
-    let* name = str name in
-    let* msg = str msg in
-    let* tmo = timeout tmo in
-    Ok (Script.Send_buffer (name, msg, tmo))
-  | "receive-buffer", [ name; tmo ] ->
-    let* name = str name in
-    let* tmo = timeout tmo in
-    Ok (Script.Receive_buffer (name, tmo))
-  | "read-memory", [ addr ] ->
-    let* addr = int addr in
-    Ok (Script.Read_memory addr)
-  | "write-memory", [ addr ] ->
-    let* addr = int addr in
-    Ok (Script.Write_memory addr)
-  | "log", [ msg ] ->
-    let* msg = str msg in
-    Ok (Script.Log msg)
-  | "raise-error", [ msg ] ->
-    let* msg = str msg in
-    Ok (Script.Raise_application_error msg)
-  | "request-schedule", [ name ] ->
-    let* name = str name in
-    let* i = index_of env.schedule_names "schedule" name in
-    Ok (Script.Request_schedule i)
-  | "log-schedule-status", [] -> Ok Script.Log_schedule_status
-  | "suspend-self", [ tmo ] ->
-    let* tmo = timeout tmo in
-    Ok (Script.Suspend_self tmo)
-  | "resume", [ name ] ->
-    let* name = str name in
-    Ok (Script.Resume_process name)
-  | "start", [ name ] ->
-    let* name = str name in
-    Ok (Script.Start_other name)
-  | "stop", [ name ] ->
-    let* name = str name in
-    Ok (Script.Stop_other name)
-  | "stop-self", [] -> Ok Script.Stop_self
-  | "disable-interrupts", [] -> Ok Script.Disable_interrupts
-  | "lock-preemption", [] -> Ok Script.Lock_preemption
-  | "unlock-preemption", [] -> Ok Script.Unlock_preemption
-  | tag, _ -> error "unknown or malformed action (%s …)" tag
-
-(* --- Processes ---------------------------------------------------------- *)
-
-type process_decl = {
-  spec : Process.spec;
-  script : Script.t;
-  autostart : bool;
-}
-
-let decode_periodicity args =
-  match args with
-  | [ Sexp.Atom "aperiodic" ] -> Ok Process.Aperiodic
-  | [ Sexp.List [ Sexp.Atom "sporadic"; bound ] ] ->
-    let* bound = time bound in
-    Ok (Process.Sporadic bound)
-  | [ n ] ->
-    let* n = time n in
-    Ok (Process.Periodic n)
-  | _ -> error "expected a period, aperiodic, or (sporadic n)"
-
-let decode_process env s =
-  let* body = tagged "process" s in
-  let* f = fields_of ~context:"process" body in
-  let* name = required f "name" (one atom) in
-  let* periodicity =
-    with_default f "period" decode_periodicity Process.Aperiodic
-  in
-  let* time_capacity = with_default f "capacity" (one time) Time.infinity in
-  let* wcet = with_default f "wcet" (one time) 0 in
-  let* base_priority = with_default f "priority" (one int) 10 in
-  let* autostart = with_default f "autostart" (one bool) true in
-  let* actions = map_all (decode_action env) (rest_of f "script") in
-  let* on_end =
-    with_default f "on-end"
-      (one (fun s ->
-           let* a = atom s in
-           match a with
-           | "repeat" -> Ok Script.Repeat
-           | "stop" -> Ok Script.Stop
-           | _ -> error "expected repeat or stop, got %s" a))
-      Script.Repeat
-  in
-  let* () =
-    assert_no_extra f
-      ~known:
-        [ "name"; "period"; "capacity"; "wcet"; "priority"; "autostart";
-          "script"; "on-end" ]
-  in
-  Ok
-    { spec =
-        { Process.name; periodicity; time_capacity; wcet; base_priority };
-      script = Script.make ~on_end actions;
-      autostart }
-
-(* --- Intrapartition objects ---------------------------------------------- *)
-
-let decode_discipline = function
-  | Sexp.Atom "fifo" -> Ok Air_pos.Intra.Fifo
-  | Sexp.Atom "priority" -> Ok Air_pos.Intra.Priority
-  | s -> error "expected fifo or priority, got %s" (Sexp.to_string s)
-
-let decode_intra_object s =
-  let* tag, args = tag_of s in
-  match (tag, args) with
-  | "semaphore", name :: initial :: maximum :: rest ->
-    let* name = atom name in
-    let* initial = int initial in
-    let* maximum = int maximum in
-    let* discipline =
-      match rest with
-      | [] -> Ok Air_pos.Intra.Fifo
-      | [ d ] -> decode_discipline d
-      | _ -> error "too many arguments to semaphore"
-    in
-    Ok (Air.System.Semaphore_object { name; initial; maximum; discipline })
-  | "event", [ name ] ->
-    let* name = atom name in
-    Ok (Air.System.Event_object { name })
-  | "blackboard", [ name; size ] ->
-    let* name = atom name in
-    let* max_message_size = int size in
-    Ok (Air.System.Blackboard_object { name; max_message_size })
-  | "buffer", name :: depth :: size :: rest ->
-    let* name = atom name in
-    let* depth = int depth in
-    let* max_message_size = int size in
-    let* discipline =
-      match rest with
-      | [] -> Ok Air_pos.Intra.Fifo
-      | [ d ] -> decode_discipline d
-      | _ -> error "too many arguments to buffer"
-    in
-    Ok (Air.System.Buffer_object { name; depth; max_message_size; discipline })
-  | tag, _ -> error "unknown or malformed object (%s …)" tag
-
-(* --- Partitions --------------------------------------------------------- *)
-
-let decode_partition env index s =
-  let* body = tagged "partition" s in
-  let* f = fields_of ~context:"partition" body in
-  let* name = required f "name" (one atom) in
-  let* kind =
-    with_default f "kind"
-      (one (fun s ->
-           let* a = atom s in
-           match a with
-           | "application" -> Ok Partition.Application
-           | "system" -> Ok Partition.System
-           | _ -> error "expected application or system, got %s" a))
-      Partition.Application
-  in
-  let* policy =
-    with_default f "policy"
-      (fun args ->
-        match args with
-        | [ Sexp.Atom "priority" ] -> Ok Kernel.Priority_preemptive
-        | [ Sexp.List [ Sexp.Atom "round-robin"; q ] ] ->
-          let* quantum = int q in
-          Ok (Kernel.Round_robin { quantum })
-        | _ -> error "expected priority or (round-robin quantum)")
-      Kernel.Priority_preemptive
-  in
-  let* store =
-    with_default f "deadline-store"
-      (one (fun s ->
-           let* a = atom s in
-           match a with
-           | "linked-list" -> Ok Air.Deadline_store.Linked_list_impl
-           | "avl-tree" -> Ok Air.Deadline_store.Avl_impl
-           | "pairing-heap" -> Ok Air.Deadline_store.Pairing_impl
-           | _ -> error "unknown deadline store %s" a))
-      Air.Deadline_store.Linked_list_impl
-  in
-  let* processes =
-    map_all (decode_process env) (rest_of f "processes")
-  in
-  let* intra_objects = map_all decode_intra_object (rest_of f "objects") in
-  let* error_handler = optional f "error-handler" (one atom) in
-  let* () =
-    assert_no_extra f
-      ~known:
-        [ "name"; "kind"; "policy"; "deadline-store"; "processes"; "objects";
-          "error-handler" ]
-  in
-  let partition =
-    Partition.make ~kind
-      ~id:(Ident.Partition_id.make index)
-      ~name
-      (List.map (fun p -> p.spec) processes)
-  in
-  let setup =
-    Air.System.partition_setup ~policy ~store ~intra_objects ?error_handler
-      ~autostart:
-        (List.map
-           (fun p -> (p.spec.Process.name, p.autostart))
-           processes)
-      partition
-      (List.map (fun p -> p.script) processes)
-  in
-  Ok setup
-
-(* --- Schedules ---------------------------------------------------------- *)
-
-let decode_requirement env s =
-  let* body = tagged "req" s in
-  let* f = fields_of ~context:"req" body in
-  let* pname = required f "partition" (one atom) in
-  let* partition = partition_id env pname in
-  let* cycle = required f "cycle" (one time) in
-  let* duration = required f "duration" (one time) in
-  Ok { Schedule.partition; cycle; duration }
-
-let decode_window env s =
-  let* body = tagged "window" s in
-  let* f = fields_of ~context:"window" body in
-  let* pname = required f "partition" (one atom) in
-  let* partition = partition_id env pname in
-  let* offset = required f "offset" (one time) in
-  let* duration = required f "duration" (one time) in
-  Ok { Schedule.partition; offset; duration }
-
-let decode_change_action env s =
-  match s with
-  | Sexp.List [ Sexp.Atom pname; Sexp.Atom action ] ->
-    let* partition = partition_id env pname in
-    let* action =
-      match action with
-      | "no-action" -> Ok Schedule.No_action
-      | "warm-restart" -> Ok Schedule.Warm_restart_partition
-      | "cold-restart" -> Ok Schedule.Cold_restart_partition
-      | _ -> error "unknown change action %s" action
-    in
-    Ok (partition, action)
-  | _ -> error "expected (PARTITION ACTION)"
-
-let decode_schedule env index s =
-  let* body = tagged "schedule" s in
-  let* f = fields_of ~context:"schedule" body in
-  let* name = required f "name" (one atom) in
-  let* mtf = required f "mtf" (one time) in
-  let* requirements =
-    map_all (decode_requirement env) (rest_of f "requirements")
-  in
-  let* windows = map_all (decode_window env) (rest_of f "windows") in
-  let* change_actions =
-    map_all (decode_change_action env) (rest_of f "change-actions")
-  in
-  let* () =
-    assert_no_extra f
-      ~known:[ "name"; "mtf"; "requirements"; "windows"; "change-actions" ]
-  in
-  Ok
-    (Schedule.make ~change_actions
-       ~id:(Ident.Schedule_id.make index)
-       ~name ~mtf ~requirements windows)
-
-(* --- Ports and channels ------------------------------------------------- *)
-
-let decode_direction s =
-  let* a = atom s in
-  match a with
-  | "source" -> Ok Port.Source
-  | "destination" -> Ok Port.Destination
-  | _ -> error "expected source or destination, got %s" a
-
-let decode_port env s =
-  let* tag, body = tag_of s in
-  let* f = fields_of ~context:tag body in
-  let* name = required f "name" (one atom) in
-  let* pname = required f "partition" (one atom) in
-  let* partition = partition_id env pname in
-  let* direction = required f "direction" (one decode_direction) in
-  let* max_message_size = with_default f "max-size" (one int) 64 in
-  match tag with
-  | "sampling-port" ->
-    let* refresh = required f "refresh" (one time) in
-    Ok
-      (Port.sampling_port ~name ~partition ~direction ~refresh
-         ~max_message_size)
-  | "queuing-port" ->
-    let* depth = with_default f "depth" (one int) 8 in
-    Ok (Port.queuing_port ~name ~partition ~direction ~depth ~max_message_size)
-  | _ -> error "expected sampling-port or queuing-port, got %s" tag
-
-let decode_channel s =
-  let* body = tagged "channel" s in
-  let* f = fields_of ~context:"channel" body in
-  let* source = required f "source" (one atom) in
-  let* destinations = required f "destinations" (many atom) in
-  Ok { Port.source; destinations }
-
-(* --- Health monitoring tables ------------------------------------------- *)
-
-let decode_error_code s =
-  let* a = atom s in
-  match a with
-  | "deadline-missed" -> Ok Error.Deadline_missed
-  | "application-error" -> Ok Error.Application_error
-  | "numeric-error" -> Ok Error.Numeric_error
-  | "illegal-request" -> Ok Error.Illegal_request
-  | "stack-overflow" -> Ok Error.Stack_overflow
-  | "memory-violation" -> Ok Error.Memory_violation
-  | "hardware-fault" -> Ok Error.Hardware_fault
-  | "power-failure" -> Ok Error.Power_failure
-  | "configuration-error" -> Ok Error.Configuration_error
-  | "temporal-degradation" -> Ok Error.Temporal_degradation
-  | _ -> error "unknown error code %s" a
-
-let rec decode_process_action s =
-  match s with
-  | Sexp.Atom "ignore" -> Ok Error.Ignore_error
-  | Sexp.Atom "restart-process" -> Ok Error.Restart_process
-  | Sexp.Atom "stop-process" -> Ok Error.Stop_process
-  | Sexp.Atom "stop-partition" -> Ok Error.Stop_partition_of_process
-  | Sexp.List [ Sexp.Atom "restart-partition"; Sexp.Atom mode ] ->
-    let* mode =
-      match mode with
-      | "warm" -> Ok Partition.Warm_start
-      | "cold" -> Ok Partition.Cold_start
-      | _ -> error "expected warm or cold, got %s" mode
-    in
-    Ok (Error.Restart_partition_of_process mode)
-  | Sexp.List [ Sexp.Atom "log-then"; n; inner ] ->
-    let* n = int n in
-    let* inner = decode_process_action inner in
-    Ok (Error.Log_then (n, inner))
-  | s -> error "unknown process recovery action %s" (Sexp.to_string s)
-
-let decode_partition_action s =
-  let* a = atom s in
-  match a with
-  | "ignore" -> Ok Error.Partition_ignore
-  | "idle" -> Ok Error.Partition_idle
-  | "warm-restart" -> Ok Error.Partition_warm_restart
-  | "cold-restart" -> Ok Error.Partition_cold_restart
-  | _ -> error "unknown partition recovery action %s" a
-
-let decode_module_action s =
-  let* a = atom s in
-  match a with
-  | "ignore" -> Ok Error.Module_ignore
-  | "shutdown" -> Ok Error.Module_shutdown
-  | "reset" -> Ok Error.Module_reset
-  | _ -> error "unknown module recovery action %s" a
-
-let decode_hm env args =
-  let* f = fields_of ~context:"hm" args in
-  (* A "*" in the partition position makes the entry a wildcard default,
-     applying to any partition without a specific entry for the code. *)
-  let* process_entries =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ Sexp.Atom pname; code; action ] ->
-          let* code = decode_error_code code in
-          let* action = decode_process_action action in
-          if String.equal pname "*" then Ok (`Wildcard (code, action))
-          else
-            let* partition = partition_id env pname in
-            Ok (`Specific (partition, code, action))
-        | _ -> error "expected (PARTITION CODE ACTION)")
-      (rest_of f "process-errors")
-  in
-  let* partition_entries =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ Sexp.Atom pname; code; action ] ->
-          let* code = decode_error_code code in
-          let* action = decode_partition_action action in
-          if String.equal pname "*" then Ok (`Wildcard (code, action))
-          else
-            let* partition = partition_id env pname in
-            Ok (`Specific (partition, code, action))
-        | _ -> error "expected (PARTITION CODE ACTION)")
-      (rest_of f "partition-errors")
-  in
-  let* module_actions =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ code; action ] ->
-          let* code = decode_error_code code in
-          let* action = decode_module_action action in
-          Ok (code, action)
-        | _ -> error "expected (CODE ACTION)")
-      (rest_of f "module-errors")
-  in
-  let* () =
-    assert_no_extra f
-      ~known:[ "process-errors"; "partition-errors"; "module-errors" ]
-  in
-  let specific entries =
-    List.filter_map
-      (function `Specific e -> Some e | `Wildcard _ -> None)
-      entries
-  and wildcard entries =
-    List.filter_map
-      (function `Wildcard e -> Some e | `Specific _ -> None)
-      entries
-  in
-  Ok
-    { Air.Hm.process_actions = specific process_entries;
-      partition_actions = specific partition_entries;
-      module_actions;
-      process_defaults = wildcard process_entries;
-      partition_defaults = wildcard partition_entries }
-
-(* --- Telemetry ----------------------------------------------------------- *)
-
-(* (watchdog (schedule *|NAME) (min-slack N) (max-jitter-p99 N)
-             (max-catch-up N) (max-deadline-misses N))
-   A "*" (or omitted) schedule makes the entry the default watchdog;
-   named entries override it for frames run under that schedule. *)
-let decode_watchdog env s =
-  let* body = tagged "watchdog" s in
-  let* f = fields_of ~context:"watchdog" body in
-  let* schedule = with_default f "schedule" (one atom) "*" in
-  let* min_slack = optional f "min-slack" (one int) in
-  let* max_jitter_p99 = optional f "max-jitter-p99" (one int) in
-  let* max_catch_up = optional f "max-catch-up" (one int) in
-  let* max_deadline_misses = optional f "max-deadline-misses" (one int) in
-  let* () =
-    assert_no_extra f
-      ~known:
-        [ "schedule"; "min-slack"; "max-jitter-p99"; "max-catch-up";
-          "max-deadline-misses" ]
-  in
-  let wd =
-    Air_obs.Telemetry.watchdog ?min_slack ?max_jitter_p99 ?max_catch_up
-      ?max_deadline_misses ()
-  in
-  if String.equal schedule "*" then Ok (`Default wd)
-  else
-    let* i = index_of env.schedule_names "schedule" schedule in
-    Ok (`Schedule (i, wd))
-
-let decode_telemetry env args =
-  let* f = fields_of ~context:"telemetry" args in
-  let* retention = optional f "retention" (one int) in
-  let* () =
-    match retention with
-    | Some r when r <= 0 -> error "telemetry.retention must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* entries =
-    match rest_of f "watchdogs" with
-    | [] -> Ok []
-    | forms -> map_all (decode_watchdog env) forms
-  in
-  let* () = assert_no_extra f ~known:[ "retention"; "watchdogs" ] in
-  let* default_watchdog =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        match e with
-        | `Default wd ->
-          if Option.is_some acc then
-            error "telemetry: duplicate default (schedule *) watchdog"
-          else Ok (Some wd)
-        | `Schedule _ -> Ok acc)
-      (Ok None) entries
-  in
-  let schedule_watchdogs =
-    List.filter_map
-      (function `Schedule (i, wd) -> Some (i, wd) | `Default _ -> None)
-      entries
-  in
-  let* () =
-    let rec dup = function
-      | [] -> Ok ()
-      | (i, _) :: rest ->
-        if List.mem_assoc i rest then
-          error "telemetry: duplicate watchdog for schedule %s"
-            (List.nth env.schedule_names i)
-        else dup rest
-    in
-    dup schedule_watchdogs
-  in
-  Ok
-    (Air_obs.Telemetry.config ?retention
-       ?default_watchdog ~schedule_watchdogs ())
-
-(* (causal (retention 16384)) — attach a causal flow tracker stamping
-   every IPC message with a correlation id; retention bounds the hop-record
-   ring. *)
-let decode_causal args =
-  let* f = fields_of ~context:"causal" args in
-  let* retention = optional f "retention" (one int) in
-  let* () =
-    match retention with
-    | Some r when r <= 0 -> error "causal.retention must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () = assert_no_extra f ~known:[ "retention" ] in
-  Ok (Air_obs.Causal.create ?capacity:retention ())
-
-(* --- Contention ----------------------------------------------------------- *)
-
-(* (contention
-     (budget (default N) (NAME N) …)
-     (curve (THRESHOLD STALL) …)
-     (compute-cost N)
-     (pressure-decay N))
-   Shared-resource contention model: per-partition memory-bandwidth
-   budgets per MTF window, a slowdown curve in (overage permille,
-   stall ticks per access) steps, an optional per-compute-tick cost and
-   the window-to-window cache-pressure decay (permille). *)
-let decode_contention env args =
-  let* f = fields_of ~context:"contention" args in
-  let* entries =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ Sexp.Atom "default"; n ] ->
-          let* n = int n in
-          Ok (`Default n)
-        | Sexp.List [ Sexp.Atom name; n ] ->
-          let* i = index_of env.partition_names "partition" name in
-          let* n = int n in
-          Ok (`Partition (i, n))
-        | _ -> error "contention.budget: expected (default N) or (PARTITION N)")
-      (rest_of f "budget")
-  in
-  let* default_budget =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        match e with
-        | `Default n ->
-          if Option.is_some acc then
-            error "contention.budget: duplicate (default N)"
-          else Ok (Some n)
-        | `Partition _ -> Ok acc)
-      (Ok None) entries
-  in
-  let* default_budget =
-    match default_budget with
-    | Some n -> Ok n
-    | None -> error "contention.budget: missing (default N)"
-  in
-  let budgets =
-    List.filter_map
-      (function `Partition e -> Some e | `Default _ -> None)
-      entries
-  in
-  (* A present-but-empty (curve) is meaningful — contention accounting
-     without slowdown — and distinct from an absent field (the default
-     one-step curve), so the lookup goes through [optional]. *)
-  let* curve =
-    optional f "curve"
-      (many (fun s ->
-           match s with
-           | Sexp.List [ t; step ] ->
-             let* t = int t in
-             let* step = int step in
-             Ok (t, step)
-           | _ -> error "contention.curve: expected (THRESHOLD STALL)"))
-  in
-  let* compute_cost = optional f "compute-cost" (one int) in
-  let* pressure_decay = optional f "pressure-decay" (one int) in
-  let* () =
-    assert_no_extra f
-      ~known:[ "budget"; "curve"; "compute-cost"; "pressure-decay" ]
-  in
-  match
-    Air_spatial.Contention.config ~budgets ?curve ?compute_cost
-      ?pressure_decay_permille:pressure_decay ~default_budget ()
-  with
-  | c -> Ok c
-  | exception Invalid_argument m -> error "contention: %s" m
-
-(* --- Fault campaigns ------------------------------------------------------ *)
-
-(* (faults
-     (campaign
-       (name nominal-storm)
-       (seed 7)
-       (horizon 20000)
-       (injections
-         (inject (at 1500) (fault (wild-access GNC data write 64)))
-         (inject (at 3000) (fault (clock-jitter CAMERA 40))))
-       (rates
-         (rate (per-mtf-permille 250) (fault (message-loss ATT_OUT)))))
-     (campaign …))
-
-   Fault forms:
-     (runaway-start PARTITION PROCESS)     (process-stop PARTITION PROCESS)
-     (restart-partition PARTITION warm|cold|idle)
-     (request-schedule SCHEDULE)           (clock-jitter PARTITION TICKS)
-     (wild-access PARTITION SECTION read|write [OFFSET])
-     (bit-flip PARTITION SECTION BIT read|write)
-     (bandwidth-hog PARTITION PERMILLE)
-     (message-loss PORT)                   (message-duplicate PORT)
-     (message-corrupt PORT BYTE)           (message-delay PORT TICKS)
-     (message-reorder PORT)
-     (link-loss) (link-duplicate) (link-corrupt BYTE) (link-delay TICKS)
-     (link-reorder)
-     (module-error CODE)
-   with SECTION one of code|data|stack|io. *)
-
-let decode_section s =
-  let* a = atom s in
-  match a with
-  | "code" -> Ok Air_spatial.Memory.Code
-  | "data" -> Ok Air_spatial.Memory.Data
-  | "stack" -> Ok Air_spatial.Memory.Stack
-  | "io" -> Ok Air_spatial.Memory.Io
-  | _ -> error "unknown memory section %s" a
-
-let decode_rw s =
-  let* a = atom s in
-  match a with
-  | "read" -> Ok false
-  | "write" -> Ok true
-  | _ -> error "expected read or write, got %s" a
-
-let decode_restart_mode s =
-  let* a = atom s in
-  match a with
-  | "warm" -> Ok Partition.Warm_start
-  | "cold" -> Ok Partition.Cold_start
-  | "idle" -> Ok Partition.Idle
-  | _ -> error "expected warm, cold or idle, got %s" a
-
-let decode_fault env s =
-  let open Air_faults.Fault in
-  let* tag, args = tag_of s in
-  let partition_index p =
-    let* p = atom p in
-    index_of env.partition_names "partition" p
-  in
-  let port_fault port fault =
-    let* port = atom port in
-    Ok (Port_fault { port; fault })
-  in
-  match (tag, args) with
-  | "runaway-start", [ p; pr ] ->
-    let* partition = partition_index p in
-    let* process = atom pr in
-    Ok (Runaway_start { partition; process })
-  | "process-stop", [ p; pr ] ->
-    let* partition = partition_index p in
-    let* process = atom pr in
-    Ok (Process_stop { partition; process })
-  | "restart-partition", [ p; m ] ->
-    let* partition = partition_index p in
-    let* mode = decode_restart_mode m in
-    Ok (Partition_restart { partition; mode })
-  | "request-schedule", [ s ] ->
-    let* name = atom s in
-    let* schedule = index_of env.schedule_names "schedule" name in
-    Ok (Schedule_request { schedule })
-  | "clock-jitter", [ p; t ] ->
-    let* partition = partition_index p in
-    let* ticks = int t in
-    Ok (Clock_jitter { partition; ticks })
-  | "wild-access", p :: sec :: rw :: rest ->
-    let* partition = partition_index p in
-    let* section = decode_section sec in
-    let* write = decode_rw rw in
-    let* offset =
-      match rest with
-      | [] -> Ok 64
-      | [ o ] -> int o
-      | _ -> error "wild-access: expected PARTITION SECTION read|write [OFFSET]"
-    in
-    Ok (Wild_access { partition; section; offset; write })
-  | "bit-flip", [ p; sec; bit; rw ] ->
-    let* partition = partition_index p in
-    let* section = decode_section sec in
-    let* bit = int bit in
-    let* write = decode_rw rw in
-    Ok (Bit_flip { partition; section; bit; write })
-  | "bandwidth-hog", [ p; permille ] ->
-    let* partition = partition_index p in
-    let* permille = int permille in
-    Ok (Bandwidth_hog { partition; permille })
-  | "message-loss", [ port ] -> port_fault port Msg_loss
-  | "message-duplicate", [ port ] -> port_fault port Msg_duplicate
-  | "message-corrupt", [ port; byte ] ->
-    let* byte = int byte in
-    port_fault port (Msg_corrupt { byte })
-  | "message-delay", [ port; ticks ] ->
-    let* ticks = int ticks in
-    port_fault port (Msg_delay { ticks })
-  | "message-reorder", [ port ] -> port_fault port Msg_reorder
-  | "link-loss", [] -> Ok (Link_fault { fault = Msg_loss })
-  | "link-duplicate", [] -> Ok (Link_fault { fault = Msg_duplicate })
-  | "link-corrupt", [ byte ] ->
-    let* byte = int byte in
-    Ok (Link_fault { fault = Msg_corrupt { byte } })
-  | "link-delay", [ ticks ] ->
-    let* ticks = int ticks in
-    Ok (Link_fault { fault = Msg_delay { ticks } })
-  | "link-reorder", [] -> Ok (Link_fault { fault = Msg_reorder })
-  | "module-error", [ code ] ->
-    let* code = decode_error_code code in
-    Ok (Module_error { code })
-  | _, _ -> error "unknown fault form (%s …)" tag
-
-let decode_injection env s =
-  let* body = tagged "inject" s in
-  let* f = fields_of ~context:"inject" body in
-  let* at = required f "at" (one time) in
-  let* fault = required f "fault" (one (decode_fault env)) in
-  let* () = assert_no_extra f ~known:[ "at"; "fault" ] in
-  Ok { Air_faults.Campaign.at; fault }
-
-let decode_rate env s =
-  let* body = tagged "rate" s in
-  let* f = fields_of ~context:"rate" body in
-  let* per_mtf_permille = required f "per-mtf-permille" (one int) in
-  let* template = required f "fault" (one (decode_fault env)) in
-  let* () = assert_no_extra f ~known:[ "per-mtf-permille"; "fault" ] in
-  Ok { Air_faults.Campaign.per_mtf_permille; template }
-
-let decode_campaign env s =
-  let* body = tagged "campaign" s in
-  let* f = fields_of ~context:"campaign" body in
-  let* name = with_default f "name" (one atom) "campaign" in
-  let* seed = required f "seed" (one int) in
-  let* horizon = required f "horizon" (one int) in
-  let* () =
-    if horizon <= 0 then error "campaign %s: horizon must be positive" name
-    else Ok ()
-  in
-  let* injections = map_all (decode_injection env) (rest_of f "injections") in
-  let* rates = map_all (decode_rate env) (rest_of f "rates") in
-  let* () =
-    assert_no_extra f
-      ~known:[ "name"; "seed"; "horizon"; "injections"; "rates" ]
-  in
-  Ok (Air_faults.Campaign.spec ~name ~injections ~rates ~seed ~horizon ())
-
-let decode_faults env args = map_all (decode_campaign env) args
-
-(* --- Toplevel ------------------------------------------------------------ *)
-
-let name_field context s =
-  let* body = tag_of s in
-  let tag, args = body in
-  ignore tag;
-  let* f = fields_of ~context args in
-  required f "name" (one atom)
-
-let decode_system s =
-  let* body = tagged "air-system" s in
-  let* f = fields_of ~context:"air-system" body in
-  let partition_forms = rest_of f "partitions" in
-  let schedule_forms = rest_of f "schedules" in
-  let* partition_names =
-    map_all (name_field "partition") partition_forms
-  in
-  let* schedule_names = map_all (name_field "schedule") schedule_forms in
-  let env = { partition_names; schedule_names } in
-  let* partitions =
-    map_all
-      (fun (i, s) -> decode_partition env i s)
-      (List.mapi (fun i s -> (i, s)) partition_forms)
-  in
-  let* schedules =
-    map_all
-      (fun (i, s) -> decode_schedule env i s)
-      (List.mapi (fun i s -> (i, s)) schedule_forms)
-  in
-  let* ports = map_all (decode_port env) (rest_of f "ports") in
-  let* channels = map_all decode_channel (rest_of f "channels") in
-  let* initial_schedule =
-    optional f "initial-schedule"
-      (one (fun s ->
-           let* name = atom s in
-           let* i = index_of schedule_names "schedule" name in
-           Ok (Ident.Schedule_id.make i)))
-  in
-  let* hm_tables =
-    match List.assoc_opt "hm" [ ("hm", rest_of f "hm") ] with
-    | Some [] -> Ok Air.Hm.default_tables
-    | Some args -> decode_hm env args
-    | None -> Ok Air.Hm.default_tables
-  in
-  let* telemetry =
-    match rest_of f "telemetry" with
-    | [] -> Ok None
-    | args ->
-      let* c = decode_telemetry env args in
-      Ok (Some c)
-  in
-  let* causal =
-    match rest_of f "causal" with
-    | [] -> Ok None
-    | args ->
-      let* c = decode_causal args in
-      Ok (Some c)
-  in
-  let* contention =
-    match rest_of f "contention" with
-    | [] -> Ok None
-    | args ->
-      let* c = decode_contention env args in
-      Ok (Some c)
-  in
-  (* Multicore executive: (cores N) shards every schedule over N PMK
-     lanes (Air.System sharding; window offsets preserved). *)
-  let* cores = optional f "cores" (one int) in
-  let* () =
-    match cores with
-    | Some n when n <= 0 -> error "cores must be positive"
-    | Some _ | None -> Ok ()
-  in
-  (* Campaigns live in the same document but are not part of the module
-     configuration; validate the grammar here so a typo fails the load. *)
-  let* _campaigns = decode_faults env (rest_of f "faults") in
-  let* () =
-    assert_no_extra f
-      ~known:
-        [ "partitions"; "schedules"; "ports"; "channels"; "initial-schedule";
-          "hm"; "telemetry"; "causal"; "contention"; "faults"; "cores" ]
-  in
-  Ok
-    (Air.System.config ?initial_schedule
-       ~network:{ Port.ports; channels }
-       ~hm_tables ?telemetry ?causal ?contention ?cores ~partitions
-       ~schedules ())
-
-let load input =
+let of_string decode input =
   match Sexp.parse_one input with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok s -> decode_system s
+  | Error e -> parse_error e
+  | Ok s -> decode s
 
-let load_file path =
+let of_file decode path =
   match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok [ s ] -> decode_system s
+  | Error e -> parse_error e
+  | Ok [ s ] -> decode s
   | Ok _ -> Error "expected exactly one (air-system …) form"
+
+let load input = of_string decode_system input
+let load_file path = of_file decode_system path
 
 let campaigns_of doc =
+  let* names = Grammar.names_of_doc doc in
   let* body = tagged "air-system" doc in
   let* f = fields_of ~context:"air-system" body in
-  let* partition_names =
-    map_all (name_field "partition") (rest_of f "partitions")
-  in
-  let* schedule_names = map_all (name_field "schedule") (rest_of f "schedules") in
-  decode_faults { partition_names; schedule_names } (rest_of f "faults")
+  Grammar.campaigns names (rest_of f "faults")
 
-let load_campaigns input =
-  match Sexp.parse_one input with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok s -> campaigns_of s
-
-let load_campaigns_file path =
-  match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok [ s ] -> campaigns_of s
-  | Ok _ -> Error "expected exactly one (air-system …) form"
+let load_campaigns input = of_string campaigns_of input
+let load_campaigns_file path = of_file campaigns_of path
 
 (* --- Clusters ------------------------------------------------------------ *)
 
@@ -964,9 +54,10 @@ let decode_link module_names s =
   let* f = fields_of ~context:"link" body in
   let endpoint field_name =
     match rest_of f field_name with
-    | [ Sexp.Atom m; Sexp.Atom port ] ->
-      let* i = index_of module_names "module" m in
-      Ok (i, port)
+    | [ Sexp.Atom m; Sexp.Atom port ] -> (
+      match List.find_index (String.equal m) module_names with
+      | Some i -> Ok (i, port)
+      | None -> error "unknown module %s" m)
     | _ -> error "link.%s: expected MODULE PORT" field_name
   in
   let* from_module, from_port = endpoint "from" in
@@ -979,7 +70,7 @@ let decode_link module_names s =
 let load_cluster_file ?instrument path =
   let dir = Filename.dirname path in
   match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
+  | Error e -> parse_error e
   | Ok [ doc ] -> (
     let build =
       let* body = tagged "air-cluster" doc in
@@ -1043,7 +134,7 @@ type fleet = { fleet_cluster : Air.Cluster.t; fleet_domains : int }
 let load_fleet_file ?instrument path =
   let dir = Filename.dirname path in
   match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
+  | Error e -> parse_error e
   | Ok [ doc ] ->
     let* body = tagged "air-fleet" doc in
     let* f = fields_of ~context:"air-fleet" body in
@@ -1102,8 +193,6 @@ let load_fleet_file ?instrument path =
     | exception Invalid_argument m -> error "air-fleet: %s" m)
   | Ok _ -> Error "expected exactly one (air-fleet …) form"
 
-let schedule_index name s =
-  let* body = tagged "air-system" s in
-  let* f = fields_of ~context:"air-system" body in
-  let* names = map_all (name_field "schedule") (rest_of f "schedules") in
-  index_of names "schedule" name
+let schedule_index name doc =
+  let* names = Grammar.names_of_doc doc in
+  Codec.schedule_index.Codec.dec names (Sexp.Atom name)
