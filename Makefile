@@ -41,14 +41,18 @@ fmt:
 # export (telemetry, Chrome trace, metrics) compared byte for byte; then
 # the document's seeded fault campaigns through the multicore skip-ahead
 # executive (containment and reproducibility enforced by the exit code);
-# finally out-of-range run flags must be refused with a diagnostic and a
-# nonzero exit, never an uncaught exception.
+# finally out-of-range run flags, and documents with an out-of-range field
+# (copies of the example with (mtf 0) and (depth 0)), must be refused with
+# a diagnostic and a nonzero exit, never an uncaught exception.
 EXEC_SMOKE_BAD = \
   "examples/configs/leo_satellite.air --ticks=-5" \
   "examples/configs/leo_satellite.air --ticks=-5 --faults" \
   "examples/configs/constellation.air --fleet --domains 0" \
   "examples/configs/leo_satellite.air --watch=0" \
-  "examples/configs/leo_satellite.air --watch=-3"
+  "examples/configs/leo_satellite.air --watch=-3" \
+  "/tmp/air_exec_mtf0.air" \
+  "/tmp/air_exec_mtf0.air --faults" \
+  "/tmp/air_exec_depth0.air"
 
 exec-smoke:
 	set -e; for c in 1 2; do \
@@ -67,6 +71,10 @@ exec-smoke:
 	done
 	dune exec bin/air_run.exe -- examples/configs/leo_satellite.air \
 	  --faults --cores 2 --campaign-json /tmp/air_exec_campaign.json
+	sed 's/(mtf 2000)/(mtf 0)/' examples/configs/leo_satellite.air \
+	  > /tmp/air_exec_mtf0.air
+	sed 's/(depth 8)/(depth 0)/' examples/configs/leo_satellite.air \
+	  > /tmp/air_exec_depth0.air
 	for bad in $(EXEC_SMOKE_BAD); do \
 	  if dune exec bin/air_run.exe -- $$bad 2> /tmp/air_exec_bad.err; then \
 	    echo "exec-smoke: accepted $$bad"; exit 1; fi; \

@@ -165,14 +165,17 @@ let run_fleet path ticks domains trace_json flows speed =
    Each engine run gets a fresh system built by reloading the document, so
    campaign, baseline and reproducibility runs share no mutable state. *)
 let run_campaigns path campaign_json ~turbo ~cores =
-  match Air_config.Loader.load_campaigns_file path with
-  | Error e ->
+  match
+    ( Air_config.Loader.load_campaigns_file path,
+      Air_config.Loader.load_file path )
+  with
+  | Error e, _ | _, Error e ->
     Format.eprintf "%s: %s@." path e;
     1
-  | Ok [] ->
+  | Ok [], Ok _ ->
     Format.eprintf "%s: no (faults (campaign …)) section@." path;
     1
-  | Ok specs -> (
+  | Ok specs, Ok _ -> (
     let make () =
       match Air_config.Loader.load_file path with
       | Ok cfg ->

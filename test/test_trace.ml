@@ -6,9 +6,6 @@ open Air_model
 open Air_pos
 open Air_obs
 
-(* [open Air_obs] shadows the model's event type with the event sink. *)
-module Event = Air_model.Event
-
 let check = Alcotest.check
 let contains hay needle = Astring_contains.contains hay needle
 let pid = Ident.Partition_id.make
