@@ -43,7 +43,8 @@ fmt:
 # executive (containment and reproducibility enforced by the exit code);
 # finally out-of-range run flags, and documents with an out-of-range field
 # (copies of the example with (mtf 0) and (depth 0)), must be refused with
-# a diagnostic and a nonzero exit, never an uncaught exception.
+# a diagnostic and a nonzero exit, never an uncaught exception; so must a
+# copy whose first CAMERA window overlaps GNC's, breaking eq. (21).
 EXEC_SMOKE_BAD = \
   "examples/configs/leo_satellite.air --ticks=-5" \
   "examples/configs/leo_satellite.air --ticks=-5 --faults" \
@@ -52,7 +53,8 @@ EXEC_SMOKE_BAD = \
   "examples/configs/leo_satellite.air --watch=-3" \
   "/tmp/air_exec_mtf0.air" \
   "/tmp/air_exec_mtf0.air --faults" \
-  "/tmp/air_exec_depth0.air"
+  "/tmp/air_exec_depth0.air" \
+  "/tmp/air_exec_overlap.air"
 
 exec-smoke:
 	set -e; for c in 1 2; do \
@@ -75,6 +77,8 @@ exec-smoke:
 	  > /tmp/air_exec_mtf0.air
 	sed 's/(depth 8)/(depth 0)/' examples/configs/leo_satellite.air \
 	  > /tmp/air_exec_depth0.air
+	sed '0,/(partition CAMERA) (offset 150)/s//(partition CAMERA) (offset 100)/' \
+	  examples/configs/leo_satellite.air > /tmp/air_exec_overlap.air
 	for bad in $(EXEC_SMOKE_BAD); do \
 	  if dune exec bin/air_run.exe -- $$bad 2> /tmp/air_exec_bad.err; then \
 	    echo "exec-smoke: accepted $$bad"; exit 1; fi; \

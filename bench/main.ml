@@ -17,7 +17,8 @@
      and communication injection hooks, and a whole one-MTF campaign
      (target + baseline + oracle bookkeeping).
    - exec/*      : the skip-ahead executive against per-tick execution over
-     whole horizons — sparse vs dense workloads, single vs multicore.
+     whole horizons — sparse vs dense workloads, single vs multicore —
+     plus one MTF of leo_satellite on a warm engine, the stepped tick.
 
    Run with: dune exec bench/main.exe *)
 
@@ -822,14 +823,28 @@ let exec_tests =
          equivalent built-in Fig. 8 workload. *)
       Air_workload.Satellite.config ()
   in
+  let leo_mtf = (List.hd leo.Air.System.schedules).Air_model.Schedule.mtf in
   let fig8 =
     { (Air_workload.Satellite.config ()) with Air.System.cores = Some 2 }
+  in
+  (* The stepped tick in tree: one MTF on a long-lived adaptive engine, so
+     each run pays the ticks the engine steps (window edges, releases,
+     deadline registrations, port traffic, the frame close) and the probes
+     after them, but no boot. The bounded trace keeps memory flat however
+     many runs the sampler takes. *)
+  let warm_leo =
+    let engine =
+      Air_exec.Engine.create
+        (Air.System.create
+           { leo with Air.System.trace_capacity = Some 4096 })
+    in
+    Staged.stage (fun () -> Air_exec.Engine.advance engine ~ticks:leo_mtf)
   in
   let beacon_ticks = 10 * 10_000
   and compute1_ticks = 200 * 50
   and sparse_ticks = 10 * sparse_mtf
   and dense_ticks = 10 * dense_mtf
-  and leo_ticks = 10 * 1300
+  and leo_ticks = 10 * leo_mtf
   and fig8_ticks = 10 * 1300 in
   Test.make_grouped ~name:"exec"
     (modes "beacon 1% duty, 10 MTFs" beacon beacon_ticks
@@ -837,7 +852,8 @@ let exec_tests =
     @ modes "taskgen 10%, 10 MTFs" sparse sparse_ticks
     @ modes "taskgen 90%, 10 MTFs" dense dense_ticks
     @ modes "leo_satellite, 10 MTFs" leo leo_ticks
-    @ modes "fig8, 2 cores, 10 MTFs" fig8 fig8_ticks)
+    @ modes "fig8, 2 cores, 10 MTFs" fig8 fig8_ticks
+    @ [ Test.make ~name:"leo_satellite, 1 MTF (warm engine)" warm_leo ])
 
 (* --- fleet/* : parallel constellation engine ------------------------------- *)
 

@@ -2,9 +2,28 @@ open Decode
 
 let parse_error e = Error (Format.asprintf "%a" Sexp.pp_error e)
 
+(* Eqs. (21)-(23) on every table, sharded to the document's cores: the
+   check [System.create] makes, answered here as a diagnostic instead of
+   an exception. *)
+let check_schedules (cfg : Air.System.config) =
+  let cores = Option.value cfg.cores ~default:1 in
+  let check (s : Air_model.Schedule.t) =
+    match Air_model.Multicore.(validate (shard ~cores s)) with
+    | [] -> Ok ()
+    | d :: _ ->
+      error "air-system.schedules: schedule %s: %a" s.name
+        Air_model.Multicore.pp_diagnostic d
+    | exception Invalid_argument m ->
+      error "air-system.schedules: schedule %s: %s" s.name m
+  in
+  let* _ = map_all check cfg.schedules in
+  Ok ()
+
 let decode_system doc =
   let* names = Grammar.names_of_doc doc in
-  Grammar.system.Codec.dec names doc
+  let* cfg = Grammar.system.Codec.dec names doc in
+  let* () = check_schedules cfg in
+  Ok cfg
 
 let of_string decode input =
   match Sexp.parse_one input with

@@ -304,7 +304,14 @@ let get_module_schedule_status env =
     current_schedule = Pmk_mc.current_schedule env.lane;
     next_schedule = Pmk_mc.next_schedule env.lane }
 
+(* Built with string functions, not [Format]: a [log-schedule-status]
+   script op reports this line on the tick path. *)
+let schedule_status_to_string s =
+  let schedule id = "χ" ^ string_of_int (Ident.Schedule_id.index id + 1) in
+  String.concat ""
+    [ "current="; schedule s.current_schedule; " next=";
+      schedule s.next_schedule; " lastSwitch=";
+      Time.to_string s.time_of_last_schedule_switch ]
+
 let pp_schedule_status ppf s =
-  Format.fprintf ppf "current=%a next=%a lastSwitch=%a" Ident.Schedule_id.pp
-    s.current_schedule Ident.Schedule_id.pp s.next_schedule Time.pp
-    s.time_of_last_schedule_switch
+  Format.pp_print_string ppf (schedule_status_to_string s)

@@ -143,4 +143,8 @@ type schedule_status = {
 }
 
 val get_module_schedule_status : env -> schedule_status
+val schedule_status_to_string : schedule_status -> string
+(** [current=χN next=χM lastSwitch=T], schedules numbered from 1 and [T]
+    printed as {!Air_sim.Time.to_string} does ([∞] when infinite). *)
+
 val pp_schedule_status : Format.formatter -> schedule_status -> unit

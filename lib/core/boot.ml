@@ -97,6 +97,7 @@ let create (cfg : config) =
         ~store:setup.store ~partition:pid ()
     in
     let pids = Partition.process_ids setup.partition in
+    let state_events = state_events pids in
     let emit_ev ev =
       let t = the_system () in
       emit t ev
@@ -115,9 +116,7 @@ let create (cfg : config) =
               (Event.Deadline_unregistered { process = pids.(process) }));
         on_state_change =
           (fun ~process state ->
-            emit_ev
-              (Event.Process_state_change
-                 { process = pids.(process); state })) }
+            emit_ev state_events.(state_event_index ~process state)) }
     in
     let kernel =
       Kernel.create ~partition:pid ~policy:setup.policy ~hooks
@@ -173,7 +172,8 @@ let create (cfg : config) =
   in
   let t =
     { cfg; lane; hm; router; protection; trace; metrics;
-      event_counts = Array.make Event.kind_count 0; telemetry; contention;
+      event_counts = Array.make Event.kind_count 0;
+      switch_events = switch_events ~partition_count; telemetry; contention;
       partitions; halt_reason = None }
   in
   system_ref := Some t;

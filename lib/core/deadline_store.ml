@@ -20,22 +20,34 @@ end
 let entry_compare (d1, p1) (d2, p2) =
   match Time.compare d1 d2 with 0 -> Int.compare p1 p2 | c -> c
 
+(* Process index of every store: int keys hashed and compared as ints,
+   not through the polymorphic [Hashtbl]'s [caml_hash] and [compare]. *)
+module Index = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = p land max_int
+end)
+
 module Linked_list : S = struct
   type node = {
     process : int;
     mutable deadline : Time.t;
     mutable prev : node option;
     mutable next : node option;
+    self : node option;
+        (* [Some] this node, built once: relinking stores it instead of
+           allocating a fresh option. *)
   }
 
   type t = {
     mutable head : node option;
-    index : (int, node) Hashtbl.t;
+    index : node Index.t;
   }
 
   let name = "linked-list"
 
-  let create () = { head = None; index = Hashtbl.create 16 }
+  let create () = { head = None; index = Index.create 16 }
 
   let unlink t node =
     (match node.prev with
@@ -47,40 +59,43 @@ module Linked_list : S = struct
 
   (* Insert keeping ascending (deadline, process) order: walk from the head
      — the O(n) cost the paper accepts because it runs in a partition's
-     window, not in the clock ISR. *)
-  let insert t node =
-    let key = (node.deadline, node.process) in
-    let rec walk prev = function
-      | Some cursor when entry_compare (cursor.deadline, cursor.process) key < 0
-        ->
-        walk (Some cursor) cursor.next
-      | rest -> (
-        node.next <- rest;
-        node.prev <- prev;
-        (match rest with Some r -> r.prev <- Some node | None -> ());
-        match prev with
-        | Some p -> p.next <- Some node
-        | None -> t.head <- Some node)
-    in
-    walk None t.head
+     window, not in the clock ISR. [prev] is the option already holding
+     the node before [cursor]. *)
+  let rec insert_walk t node prev cursor =
+    match cursor with
+    | Some c
+      when c.deadline < node.deadline
+           || (c.deadline = node.deadline && c.process < node.process) ->
+      insert_walk t node cursor c.next
+    | rest -> (
+      node.next <- rest;
+      node.prev <- prev;
+      (match rest with Some r -> r.prev <- node.self | None -> ());
+      match prev with
+      | Some p -> p.next <- node.self
+      | None -> t.head <- node.self)
+
+  let insert t node = insert_walk t node None t.head
 
   let register t ~process deadline =
-    match Hashtbl.find_opt t.index process with
-    | Some node ->
+    match Index.find t.index process with
+    | node ->
       unlink t node;
       node.deadline <- deadline;
       insert t node
-    | None ->
-      let node = { process; deadline; prev = None; next = None } in
-      Hashtbl.replace t.index process node;
+    | exception Not_found ->
+      let rec node =
+        { process; deadline; prev = None; next = None; self = Some node }
+      in
+      Index.replace t.index process node;
       insert t node
 
   let unregister t ~process =
-    match Hashtbl.find_opt t.index process with
-    | Some node ->
+    match Index.find t.index process with
+    | node ->
       unlink t node;
-      Hashtbl.remove t.index process
-    | None -> ()
+      Index.remove t.index process
+    | exception Not_found -> ()
 
   let earliest t =
     Option.map (fun n -> (n.process, n.deadline)) t.head
@@ -92,19 +107,19 @@ module Linked_list : S = struct
     match t.head with
     | Some node ->
       unlink t node;
-      Hashtbl.remove t.index node.process
+      Index.remove t.index node.process
     | None -> ()
 
-  let mem t ~process = Hashtbl.mem t.index process
+  let mem t ~process = Index.mem t.index process
 
   let find t ~process =
-    Option.map (fun n -> n.deadline) (Hashtbl.find_opt t.index process)
+    Option.map (fun n -> n.deadline) (Index.find_opt t.index process)
 
-  let size t = Hashtbl.length t.index
+  let size t = Index.length t.index
 
   let clear t =
     t.head <- None;
-    Hashtbl.reset t.index
+    Index.reset t.index
 
   let to_sorted_list t =
     let rec go acc = function
@@ -121,16 +136,17 @@ module Avl : S = struct
     | Leaf
     | Branch of { left : tree; key : Time.t * int; right : tree; height : int }
 
-  type t = { mutable root : tree; index : (int, Time.t) Hashtbl.t }
+  type t = { mutable root : tree; index : Time.t Index.t }
 
   let name = "avl-tree"
 
-  let create () = { root = Leaf; index = Hashtbl.create 16 }
+  let create () = { root = Leaf; index = Index.create 16 }
 
   let height = function Leaf -> 0 | Branch b -> b.height
 
   let branch left key right =
-    Branch { left; key; right; height = 1 + Stdlib.max (height left) (height right) }
+    Branch
+      { left; key; right; height = 1 + Int.max (height left) (height right) }
 
   let balance_factor = function
     | Leaf -> 0
@@ -190,17 +206,17 @@ module Avl : S = struct
       end
 
   let register t ~process deadline =
-    (match Hashtbl.find_opt t.index process with
+    (match Index.find_opt t.index process with
     | Some old -> t.root <- remove (old, process) t.root
     | None -> ());
-    Hashtbl.replace t.index process deadline;
+    Index.replace t.index process deadline;
     t.root <- insert (deadline, process) t.root
 
   let unregister t ~process =
-    match Hashtbl.find_opt t.index process with
+    match Index.find_opt t.index process with
     | Some old ->
       t.root <- remove (old, process) t.root;
-      Hashtbl.remove t.index process
+      Index.remove t.index process
     | None -> ()
 
   let earliest t =
@@ -217,16 +233,16 @@ module Avl : S = struct
     match min_key t.root with
     | Some ((_, process) as key) ->
       t.root <- remove key t.root;
-      Hashtbl.remove t.index process
+      Index.remove t.index process
     | None -> ()
 
-  let mem t ~process = Hashtbl.mem t.index process
-  let find t ~process = Hashtbl.find_opt t.index process
-  let size t = Hashtbl.length t.index
+  let mem t ~process = Index.mem t.index process
+  let find t ~process = Index.find_opt t.index process
+  let size t = Index.length t.index
 
   let clear t =
     t.root <- Leaf;
-    Hashtbl.reset t.index
+    Index.reset t.index
 
   let to_sorted_list t =
     let rec go acc = function
@@ -243,13 +259,13 @@ module Pairing : S = struct
 
   type t = {
     mutable heap : heap;
-    index : (int, Time.t) Hashtbl.t;
+    index : Time.t Index.t;
     mutable garbage : int;
   }
 
   let name = "pairing-heap"
 
-  let create () = { heap = Empty; index = Hashtbl.create 16; garbage = 0 }
+  let create () = { heap = Empty; index = Index.create 16; garbage = 0 }
 
   let merge a b =
     match (a, b) with
@@ -270,7 +286,7 @@ module Pairing : S = struct
     | Node (_, children) -> merge_pairs children
 
   let is_live t (deadline, process) =
-    match Hashtbl.find t.index process with
+    match Index.find t.index process with
     | exception Not_found -> false
     | current -> Time.equal current deadline
 
@@ -282,7 +298,7 @@ module Pairing : S = struct
       if is_live t key then ()
       else begin
         t.heap <- delete_min t.heap;
-        t.garbage <- Stdlib.max 0 (t.garbage - 1);
+        t.garbage <- Int.max 0 (t.garbage - 1);
         settle t
       end
 
@@ -297,25 +313,23 @@ module Pairing : S = struct
      heap observationally identical. *)
   let compact t =
     t.heap <-
-      Hashtbl.fold
+      Index.fold
         (fun process deadline h -> insert h (deadline, process))
         t.index Empty;
     t.garbage <- 0
 
   let maybe_compact t =
-    if t.garbage > Stdlib.max 16 (2 * Hashtbl.length t.index) then compact t
+    if t.garbage > Int.max 16 (2 * Index.length t.index) then compact t
 
   let register t ~process deadline =
-    (match Hashtbl.find_opt t.index process with
-    | Some _ -> t.garbage <- t.garbage + 1
-    | None -> ());
-    Hashtbl.replace t.index process deadline;
+    if Index.mem t.index process then t.garbage <- t.garbage + 1;
+    Index.replace t.index process deadline;
     t.heap <- insert t.heap (deadline, process);
     maybe_compact t
 
   let unregister t ~process =
-    if Hashtbl.mem t.index process then begin
-      Hashtbl.remove t.index process;
+    if Index.mem t.index process then begin
+      Index.remove t.index process;
       t.garbage <- t.garbage + 1;
       maybe_compact t
     end
@@ -337,20 +351,20 @@ module Pairing : S = struct
     match t.heap with
     | Empty -> ()
     | Node ((_, process), _) ->
-      Hashtbl.remove t.index process;
+      Index.remove t.index process;
       t.heap <- delete_min t.heap
 
-  let mem t ~process = Hashtbl.mem t.index process
-  let find t ~process = Hashtbl.find_opt t.index process
-  let size t = Hashtbl.length t.index
+  let mem t ~process = Index.mem t.index process
+  let find t ~process = Index.find_opt t.index process
+  let size t = Index.length t.index
 
   let clear t =
     t.heap <- Empty;
-    Hashtbl.reset t.index;
+    Index.reset t.index;
     t.garbage <- 0
 
   let to_sorted_list t =
-    Hashtbl.fold (fun process deadline acc -> (process, deadline) :: acc)
+    Index.fold (fun process deadline acc -> (process, deadline) :: acc)
       t.index []
     |> List.sort (fun (p1, d1) (p2, d2) -> entry_compare (d1, p1) (d2, p2))
 end

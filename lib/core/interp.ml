@@ -79,7 +79,7 @@ let exec_action t prt q (action : Script.action) : Apex.outcome =
   | Script.Log_schedule_status ->
     let status = Apex.get_module_schedule_status env in
     Apex.report_application_message env ~process:q
-      (Format.asprintf "schedule status: %a" Apex.pp_schedule_status status)
+      ("schedule status: " ^ Apex.schedule_status_to_string status)
   | Script.Suspend_self timeout -> Apex.suspend_self env ~process:q ~timeout
   | Script.Resume_process name -> (
     match Kernel.find_by_name prt.kernel name with

@@ -145,6 +145,9 @@ type t = {
   trace : Event.t Trace.t;
   metrics : Air_obs.Metrics.t;
   event_counts : int array; (* lifetime totals, by [Event.kind_index] *)
+  switch_events : Event.t array;
+      (* Every [Context_switch] this module can emit, built once at boot
+         and indexed by [switch_slot] pairs. *)
   telemetry : Air_obs.Telemetry.t option;
   contention : Contention.t option;
   partitions : prt array;
@@ -162,6 +165,42 @@ let emit t ev =
   Trace.record t.trace (now t) ev;
   let k = Event.kind_index ev in
   t.event_counts.(k) <- t.event_counts.(k) + 1
+
+(* Events are immutable, so the two most frequent kinds are built once at
+   boot and shared by every emit. [Context_switch]: one per (from, to_)
+   pair over the partitions and idle (slot 0). *)
+let switch_slot = function
+  | None -> 0
+  | Some pid -> Partition_id.index pid + 1
+
+let switch_events ~partition_count =
+  let slots = partition_count + 1 in
+  let party i = if i = 0 then None else Some (Partition_id.make (i - 1)) in
+  Array.init (slots * slots) (fun i ->
+      Event.Context_switch
+        { from = party (i / slots); to_ = party (i mod slots) })
+
+let emit_context_switch t ~from ~to_ =
+  let slots = Array.length t.partitions + 1 in
+  emit t t.switch_events.((switch_slot from * slots) + switch_slot to_)
+
+(* [Process_state_change]: one per process and state, indexed by
+   [state_event_index]. *)
+let state_slot = function
+  | Process.Dormant -> 0
+  | Process.Ready -> 1
+  | Process.Running -> 2
+  | Process.Waiting -> 3
+
+let state_event_index ~process state = (4 * process) + state_slot state
+
+let state_events pids =
+  let states = Process.[| Dormant; Ready; Running; Waiting |] in
+  Array.init
+    (4 * Array.length pids)
+    (fun i ->
+      Event.Process_state_change
+        { process = pids.(i / 4); state = states.(i mod 4) })
 
 (* Flight recorder: a Health Monitor handler invocation becomes a span on
    the affected track (simulated time does not advance during handling, so

@@ -70,7 +70,7 @@ let apply_outcome t ~primary (o : Pmk.tick_outcome) =
   | Some (from, to_) when primary -> emit t (Event.Schedule_switch { from; to_ })
   | Some _ | None -> ());
   (match o.Pmk.context_switch with
-  | Some (from, to_) -> emit t (Event.Context_switch { from; to_ })
+  | Some (from, to_) -> emit_context_switch t ~from ~to_
   | None -> ());
   (match o.Pmk.change_action with
   | Some (pid, action) ->
@@ -296,85 +296,76 @@ let compute_headroom t prt =
       ~partition:(Partition_id.index prt.setup.partition.Partition.id)
       ~cost:(Contention.configuration c).Contention.compute_cost
 
-let prt_quiescent t prt =
+(* The earliest of [acc], a blocked process' wake/release instant and the
+   tick after the partition's earliest PAL deadline (verification pops
+   deadlines strictly before [now], so a deadline [d] first raises a
+   violation at [d + 1]). [Time.add] saturates at infinity, so an empty
+   deadline store contributes no bound. *)
+let pending_bound prt acc =
+  Time.min
+    (Time.min acc (Time.add (Pal.min_deadline prt.pal) 1))
+    (Kernel.next_wake prt.kernel)
+
+(* One partition holding a core, folded into the running bound [acc]
+   (>= 0): -1 when it is not quiescent, otherwise the earliest of its
+   [pending_bound] and, mid-compute, the tick that consumes its last
+   compute tick or the one that would take its charges past the safe
+   headroom. Quiescence and the bound share one [computing_heir] scan and
+   one [compute_headroom]. *)
+let prt_quiet_bound t prt acc =
   match prt.mode with
-  | Partition.Idle -> true
-  | Partition.Cold_start | Partition.Warm_start -> false
+  | Partition.Idle -> acc
+  | Partition.Cold_start | Partition.Warm_start -> -1
   | Partition.Normal ->
-    prt.jitter_left = 0 && prt.jitter_deferred = 0
-    && (match t.contention with
-       | None -> true
-       | Some c ->
-         not
-           (Contention.stall_pending c
-              ~partition:
-                (Partition_id.index prt.setup.partition.Partition.id)))
-    && ((not (Kernel.has_schedulable prt.kernel))
-       || (computing_heir prt >= 0 && compute_headroom t prt >= 1))
-
-let rec lanes_quiescent t actives n i =
-  i >= n
-  || (match actives.(i) with
-     | None -> true
-     | Some pid -> prt_quiescent t (prt_of t pid))
-     && lanes_quiescent t actives n (i + 1)
-
-let quiescent t =
-  (* Probed once per executive tick while skip-ahead hunts for a span, so
-     it must not allocate: it scans the lanes' actives buffer via a
-     top-level loop. *)
-  let actives = Pmk_mc.active_partitions t.lane in
-  lanes_quiescent t actives (Array.length actives) 0
-
-(* The next tick at which a currently-active partition becomes interesting
-   again: a blocked process' wake/release instant, or the tick after its
-   earliest PAL deadline (verification pops deadlines strictly before
-   [now], so a deadline [d] first raises a violation at [d + 1]). A
-   mid-compute partition is also interesting at the tick that consumes its
-   last compute tick, and at the one that would take its charges past the
-   safe headroom. Inactive partitions report through their next dispatch,
-   which the lane's preemption table already bounds. [Time.add] saturates
-   at infinity, so an empty deadline store contributes no bound. *)
-let prt_event_bound t pid acc =
-  let prt = prt_of t pid in
-  match prt.mode with
-  | Partition.Idle | Partition.Cold_start | Partition.Warm_start -> acc
-  | Partition.Normal ->
-    let acc =
-      Time.min
-        (Time.min acc (Time.add (Pal.min_deadline prt.pal) 1))
-        (Kernel.next_wake prt.kernel)
-    in
-    let q = computing_heir prt in
-    if q < 0 then acc
+    if
+      prt.jitter_left <> 0 || prt.jitter_deferred <> 0
+      || (match t.contention with
+         | None -> false
+         | Some c ->
+           Contention.stall_pending c
+             ~partition:(Partition_id.index prt.setup.partition.Partition.id))
+    then -1
+    else if not (Kernel.has_schedulable prt.kernel) then
+      (* No heir, so no compute term. *)
+      pending_bound prt acc
     else begin
-      let left = prt.tasks.(q).compute_left in
-      let safe = compute_headroom t prt in
-      Time.min acc (now t + if safe >= left then left else safe + 1)
+      let q = computing_heir prt in
+      if q < 0 then -1
+      else begin
+        let safe = compute_headroom t prt in
+        if safe < 1 then -1
+        else begin
+          let left = prt.tasks.(q).compute_left in
+          Time.min (pending_bound prt acc)
+            (now t + if safe >= left then left else safe + 1)
+        end
+      end
     end
 
-let rec lanes_event_bound t actives n i acc =
-  if i >= n then acc
+let rec lanes_quiet_bound t actives n i acc =
+  if i >= n || acc < 0 then acc
   else
     let acc =
       match actives.(i) with
       | None -> acc
-      | Some pid -> prt_event_bound t pid acc
+      | Some pid -> prt_quiet_bound t (prt_of t pid) acc
     in
-    lanes_event_bound t actives n (i + 1) acc
+    lanes_quiet_bound t actives n (i + 1) acc
 
-let next_partition_event t =
+let quiet_bound t =
+  (* Evaluated after every stepped tick, so it must not allocate: it scans
+     the lanes' actives buffer via a top-level loop. *)
   let actives = Pmk_mc.active_partitions t.lane in
-  lanes_event_bound t actives (Array.length actives) 0 Time.infinity
+  lanes_quiet_bound t actives (Array.length actives) 0 Time.infinity
 
 (* Batch-advance the global clock across a quiet span. The caller (the
-   executive) guarantees [quiescent] holds and that no lane preemption,
-   partition event, telemetry frame boundary or injection falls inside the
-   span; under that contract the skip is bit-identical to [ticks] per-tick
-   steps. Each mid-compute partition progresses its computation by
-   [ticks] and makes one [ticks]-sized compute charge (accounts are
-   additive and the span stays within the safe headroom), debiting its
-   lane as [step] does. *)
+   executive) guarantees [quiet_bound] is non-negative and that no lane
+   preemption, partition event, telemetry frame boundary or injection
+   falls inside the span; under that contract the skip is bit-identical
+   to [ticks] per-tick steps. Each mid-compute partition progresses its
+   computation by [ticks] and makes one [ticks]-sized compute charge
+   (accounts are additive and the span stays within the safe headroom),
+   debiting its lane as [step] does. *)
 let skip t ~ticks =
   if ticks > 0 then begin
     let actives = Pmk_mc.active_partitions t.lane in

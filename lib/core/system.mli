@@ -13,7 +13,7 @@
     types so existing users are unaffected. The quiescence probes at the
     end of this interface let the [Air_exec] executive advance the module
     in O(1) across provably-quiet spans — idle or mid-compute
-    ({!quiescent}, {!next_partition_event}, {!skip}). *)
+    ({!quiet_bound}, {!skip}). *)
 
 open Air_sim
 open Air_model
@@ -182,37 +182,39 @@ val halted : t -> string option
     {!Pmk_mc.next_preemption_tick} to advance the module across quiet spans
     in O(1) while staying bit-identical to per-tick execution. *)
 
-val quiescent : t -> bool
-(** Whether per-tick execution would, right now, do nothing but advance the
-    clock and any running computation: every partition currently holding a
-    core is idle or mid-compute, with no pending clock-jitter bookkeeping
-    and no owed interference stall.
+val quiet_bound : t -> Time.t
+(** The skip-ahead probe, in one pass over the lanes. [-1] when some
+    partition holding a core is not quiescent; otherwise the earliest
+    future tick at which one of them becomes interesting again
+    ({!Air_sim.Time.infinity} when nothing is pending).
 
-    - Idle: in idle mode, or in normal mode with no schedulable process.
-    - Mid-compute: in normal mode, its steady heir ({!Air_pos.Kernel.steady_heir})
-      has [compute_left >= 2] and no mailbox delivery, and the contention
-      model admits at least one more compute charge
-      ({!Air_spatial.Contention.safe_charges}). Each such tick only
-      decrements [compute_left] and charges the compute cost.
+    A partition is quiescent when per-tick execution would, right now, do
+    nothing for it but advance the clock and any running computation,
+    with no pending clock-jitter bookkeeping and no owed interference
+    stall:
+    - idle: in idle mode, or in normal mode with no schedulable process;
+    - mid-compute: in normal mode, its steady heir
+      ({!Air_pos.Kernel.steady_heir}) has [compute_left >= 2] and no
+      mailbox delivery, and the contention model admits at least one more
+      compute charge ({!Air_spatial.Contention.safe_charges}). Each such
+      tick only decrements [compute_left] and charges the compute cost.
 
-    Partitions not holding a core are never driven per-tick and cannot
-    break quiescence. The stall conjunct keeps a partition in contention
-    slowdown interesting to the executive's clock; without a contention
-    model it is trivially true. *)
+    The bound is the earliest of a blocked process' wake, timeout or
+    release instant, the tick after the earliest PAL deadline (a deadline
+    [d] first raises a violation at [d + 1]) and, for a mid-compute
+    partition, [now + min(compute_left, safe_charges + 1)] — the tick that
+    consumes the last compute tick, or the first whose charge is not
+    provably safe.
 
-val next_partition_event : t -> Time.t
-(** The earliest future tick at which a currently-active partition becomes
-    interesting again: a blocked process' wake, timeout or release
-    instant, the tick after its earliest PAL deadline (a deadline [d]
-    first raises a violation at [d + 1]), or, for a mid-compute partition,
-    [now + min(compute_left, safe_charges + 1)] — the tick that consumes
-    the last compute tick, or the first whose charge is not provably
-    safe. {!Air_sim.Time.infinity} when nothing is pending. *)
+    Partitions not holding a core are never driven per-tick and constrain
+    neither quiescence nor the bound: their next involvement is a dispatch,
+    which {!Pmk_mc.next_preemption_tick} bounds. *)
 
 val skip : t -> ticks:int -> unit
 (** Batch-advance the global clock by [ticks]. Only sound across a span
-    where {!quiescent} holds and no lane preemption, partition event,
-    telemetry frame boundary or fault injection falls strictly inside.
+    that ends before {!quiet_bound} (which must be non-negative) and in
+    which no lane preemption, telemetry frame boundary or fault injection
+    falls strictly inside.
     Every mid-compute partition's running process progresses its
     computation by [ticks] and makes one [ticks × compute_cost] charge
     (contention accounts and telemetry [mem_demand] are additive). Under

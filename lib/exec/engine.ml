@@ -1,3 +1,4 @@
+open Air_sim
 open Air
 
 type mode = Per_tick | Adaptive
@@ -38,16 +39,22 @@ let profiler t = t.profiler
 let simulated t = t.stats.stepped + t.stats.skipped
 let halted t = Option.is_some (System.halted t.system)
 
-(* Probe for a quiet span up to the budget horizon and collapse it with
-   one O(1) batch clock update. Returns the number of ticks skipped (0
-   when the very next tick is already interesting). The caller has
-   established quiescence. *)
-let probe_raw t ~remaining =
+(* Collapse the quiet span up to the earliest of the partitions' [bound]
+   ({!System.quiet_bound}, already evaluated by the caller), the lane's
+   next preemption instant (context switch, window edge or MTF boundary,
+   which carries telemetry frame closes, mode-based schedule switches and
+   change actions) and the budget horizon, with one O(1) batch clock
+   update. Inactive partitions need no source of their own: their next
+   involvement is a dispatch, a preemption-table entry. Returns the number
+   of ticks skipped (0 when the very next tick is already interesting). *)
+let probe_raw t ~remaining ~bound =
   t.stats.probes <- t.stats.probes + 1;
   let now = Pmk_mc.ticks (System.lane t.system) in
   let until = Clock.horizon ~now ~remaining in
-  let next = Clock.next_interesting t.system ~until in
-  let span = Stdlib.min (next - 1 - now) remaining in
+  let lane_next = Pmk_mc.next_preemption_tick (System.lane t.system) in
+  let next = Time.min until (Time.min lane_next bound) in
+  let span = next - 1 - now in
+  let span = if span < remaining then span else remaining in
   if span > 0 then begin
     System.skip t.system ~ticks:span;
     t.stats.skipped <- t.stats.skipped + span;
@@ -55,12 +62,12 @@ let probe_raw t ~remaining =
   end
   else 0
 
-let probe t ~remaining =
+let probe t ~remaining ~bound =
   match t.profiler with
-  | None -> probe_raw t ~remaining
+  | None -> probe_raw t ~remaining ~bound
   | Some p ->
     let t0 = Profiler.timestamp () in
-    let skipped = probe_raw t ~remaining in
+    let skipped = probe_raw t ~remaining ~bound in
     Profiler.note_probe p ~skipped ~seconds:(Profiler.timestamp () -. t0);
     skipped
 
@@ -105,21 +112,25 @@ let run_batch t ~ticks =
     Profiler.note_batch p ~ticks ~seconds:(Profiler.timestamp () -. t0)
 
 (* Skip-ahead: execute every interesting tick through the per-tick path
-   and, after each one that leaves the module quiescent, probe for a quiet
-   span and collapse it. Idle and mid-compute spans are both quiescent,
-   so only event ticks fail the check, and a failed check is all they pay
-   over [Per_tick] — measurable only on a module with an event due every
-   tick (DESIGN §8.4). Skips are guarded by the quiescence proof, so
-   traces, telemetry, metrics and campaign fingerprints are bit-identical
-   to [Per_tick]. *)
+   and, after each one that leaves the module quiescent (a non-negative
+   [System.quiet_bound], one pass over the lanes that also yields the
+   partitions' event bound), probe for a quiet span and collapse it. Idle
+   and mid-compute spans are both quiescent, so only event ticks fail the
+   check, and a failed check is all they pay over [Per_tick] — measurable
+   only on a module with an event due every tick (DESIGN §8.4). Skips are
+   guarded by the quiescence proof, so traces, telemetry, metrics and
+   campaign fingerprints are bit-identical to [Per_tick]. *)
 let skip_ahead t ~ticks =
   let remaining = ref ticks in
   while !remaining > 0 && not (halted t) do
     step_one t;
     decr remaining;
     t.stats.stepped <- t.stats.stepped + 1;
-    if !remaining > 0 && (not (halted t)) && System.quiescent t.system then
-      remaining := !remaining - probe t ~remaining:!remaining
+    if !remaining > 0 && not (halted t) then begin
+      let bound = System.quiet_bound t.system in
+      if bound >= 0 then
+        remaining := !remaining - probe t ~remaining:!remaining ~bound
+    end
   done
 
 (* Advance the module by [ticks] clock ticks, observationally identically

@@ -7,16 +7,18 @@
     advancing — every held core idle or mid-compute, no pending wake or
     deadline, no window edge. [Engine] executes every interesting tick
     through the unchanged per-tick path and, after each one that leaves
-    the module quiescent ({!Air.System.quiescent}), probes
-    {!Clock.next_interesting} and collapses the provably-quiet span up to
-    it into a single batch update ({!Air.System.skip}). Workloads advance
+    the module quiescent (a non-negative {!Air.System.quiet_bound}, one
+    pass over the lanes that also yields the partitions' event bound),
+    probes the span up to the earliest of that bound, the lane's next
+    preemption and the budget, and collapses it into a single batch
+    update ({!Air.System.skip}). Workloads advance
     at the cost of their event density rather than their horizon — a
     process in a long computation is not dense.
 
     The probe is paid only after a quiescent tick, so the price of
-    skip-ahead on a dense module is one failed quiescence check per event
-    tick. Event traces, telemetry frames, metrics and campaign verdicts
-    are identical in both modes (the property tests in
+    skip-ahead on a dense module is one failed {!Air.System.quiet_bound}
+    per event tick. Event traces, telemetry frames, metrics and campaign
+    verdicts are identical in both modes (the property tests in
     [test/test_exec.ml] pin this). *)
 
 (** Execution strategy. *)
@@ -31,8 +33,8 @@ type stats = {
   mutable stepped : int;  (** Ticks executed through the per-tick path. *)
   mutable skipped : int;  (** Ticks collapsed into batch clock updates. *)
   mutable probes : int;
-      (** [Clock.next_interesting] evaluations — one per quiescent
-          stepped tick; a probe that skips nothing is pure overhead. *)
+      (** Probes — one per stepped tick whose {!Air.System.quiet_bound}
+          is non-negative; a probe that skips nothing is pure overhead. *)
 }
 
 type t

@@ -10,9 +10,12 @@
       bookkeeping in between (whole [Per_tick]-mode advances);
     - {e skipped spans} — ticks collapsed into O(1) batch clock updates
       by successful probes;
-    - {e probes} — [Clock.next_interesting] evaluations, split into those
-      that paid off (a span was skipped) and those that were pure
-      overhead ({e wasted}).
+    - {e probes} — one per stepped tick whose {!Air.System.quiet_bound}
+      is non-negative, split into those that paid off (a span was
+      skipped) and those that were pure overhead ({e wasted}). A probe's
+      seconds cover the lane's preemption lookup and the skip itself; the
+      partition scan ({!Air.System.quiet_bound}) runs before the probe
+      and is not part of them.
 
     The step, batch and skip tick buckets partition the simulated horizon
     exactly:

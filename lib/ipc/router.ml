@@ -36,8 +36,9 @@ type endpoint = { config : Port.config; buffer : buffer; idx : int }
 
 type t = {
   endpoints : (Port_name.t, endpoint) Hashtbl.t;
-  routes : (Port_name.t, Port_name.t list) Hashtbl.t;
-      (** Source port → destination ports. *)
+  routes : endpoint list array;
+      (** Source endpoint → its destination endpoints, by the source's
+          [idx], resolved once at [create]. *)
   messages_sent : Air_obs.Metrics.counter;
   messages_received : Air_obs.Metrics.counter;
   bytes_copied : Air_obs.Metrics.counter;
@@ -89,10 +90,14 @@ let create ?metrics ?recorder ?causal (net : Port.network) =
       in
       Hashtbl.replace endpoints c.name { config = c; buffer; idx })
     net.ports;
-  let routes = Hashtbl.create 16 in
+  let routes = Array.make (List.length net.ports) [] in
   List.iter
     (fun (ch : Port.channel) ->
-      Hashtbl.replace routes ch.source ch.destinations)
+      match Hashtbl.find_opt endpoints ch.source with
+      | None -> ()
+      | Some src ->
+        routes.(src.idx) <-
+          List.filter_map (Hashtbl.find_opt endpoints) ch.destinations)
     net.channels;
   { endpoints;
     routes;
@@ -168,8 +173,6 @@ let check_payload (msg : bytes) (e : endpoint) =
 
 let ( let* ) r f = Result.bind r f
 
-let destinations t source = Option.value ~default:[] (Hashtbl.find_opt t.routes source)
-
 let write_sampling t ~caller ~port ~now msg =
   let* e = find t port in
   let* e = check_owner caller e in
@@ -181,14 +184,14 @@ let write_sampling t ~caller ~port ~now msg =
     let cid = stamp_send t e ~caller ~now in
     List.iter
       (fun dest ->
-        match Hashtbl.find_opt t.endpoints dest with
-        | Some { buffer = Sampling_slot slot; _ } ->
+        match dest.buffer with
+        | Sampling_slot slot ->
           (* Memory-to-memory copy: the destination never aliases the
              sender's buffer. *)
           slot.content <- Some (Bytes.copy msg, now, cid);
           Air_obs.Metrics.add t.bytes_copied (Bytes.length msg)
-        | Some _ | None -> ())
-      (destinations t port);
+        | Queuing_buffer _ | Source_end -> ())
+      t.routes.(e.idx);
     Air_obs.Metrics.incr t.messages_sent;
     record_instant t ~now ~track:(Partition_id.index caller) ~port
       "ipc.write-sampling";
@@ -237,19 +240,19 @@ let send_queuing t ~caller ~port ~now msg =
     let delivered = ref [] and overflowed = ref [] in
     List.iter
       (fun dest ->
-        match Hashtbl.find_opt t.endpoints dest with
-        | Some { buffer = Queuing_buffer { depth; queue }; _ } ->
+        match dest.buffer with
+        | Queuing_buffer { depth; queue } ->
           if Queue.length queue >= depth then begin
             Air_obs.Metrics.incr t.overflows;
-            overflowed := dest :: !overflowed
+            overflowed := dest.config.Port.name :: !overflowed
           end
           else begin
             Queue.push (Bytes.copy msg, now, cid) queue;
             Air_obs.Metrics.add t.bytes_copied (Bytes.length msg);
-            delivered := dest :: !delivered
+            delivered := dest.config.Port.name :: !delivered
           end
-        | Some _ | None -> ())
-      (destinations t port);
+        | Sampling_slot _ | Source_end -> ())
+      t.routes.(e.idx);
     Air_obs.Metrics.incr t.messages_sent;
     record_instant t ~now ~track:(Partition_id.index caller) ~port
       "ipc.send-queuing";
@@ -263,7 +266,7 @@ let pop_queuing t ?now queue =
   (match now with
   | None -> ()
   | Some now ->
-    let latency = Stdlib.max 0 (now - sent) in
+    let latency = if now > sent then now - sent else 0 in
     Air_obs.Metrics.observe t.delivery_latency latency;
     (match t.on_delivery with
     | None -> ()

@@ -105,15 +105,19 @@ let value_at t ~num ~den =
        clamped to at least the first recorded value. *)
     let rank = ((t.count * num) + den - 1) / den in
     let rank = if rank < 1 then 1 else rank in
+    (* Every recorded value lies in [min_v, max_v], so the buckets below
+       [min_v]'s are empty. *)
     let rec walk i seen =
       if i >= bucket_count then t.max_v
       else begin
         let seen = seen + t.counts.(i) in
-        if seen >= rank then Stdlib.min (bucket_high i) t.max_v
+        if seen >= rank then
+          let high = bucket_high i in
+          if high < t.max_v then high else t.max_v
         else walk (i + 1) seen
       end
     in
-    walk 0 0
+    walk (index_of t.min_v) 0
   end
 
 let p50 t = value_at t ~num:1 ~den:2
@@ -137,8 +141,13 @@ let merge ~into t =
     into.total <- into.total + t.total
   end
 
+(* Only the buckets from [min_v]'s to [max_v]'s can be non-zero: [record]
+   and [merge] keep every count inside that range. *)
 let clear t =
-  Array.fill t.counts 0 bucket_count 0;
+  if t.count > 0 then begin
+    let lo = index_of t.min_v in
+    Array.fill t.counts lo (index_of t.max_v - lo + 1) 0
+  end;
   t.count <- 0;
   t.total <- 0;
   t.min_v <- 0;

@@ -22,8 +22,10 @@ let compare = Int.compare
 let equal = Int.equal
 let ( <= ) (a : t) (b : t) = a <= b
 let ( < ) (a : t) (b : t) = a < b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+(* Int comparisons: [Stdlib.min]/[max] are polymorphic compare, a C call
+   on every skip probe. *)
+let min (a : t) (b : t) = if a <= b then a else b
+let max (a : t) (b : t) = if a >= b then a else b
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -43,4 +45,4 @@ let lcm_list = function
 let pp ppf t = if is_infinite t then Format.pp_print_string ppf "∞"
   else Format.pp_print_int ppf t
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = if is_infinite t then "∞" else string_of_int t

@@ -304,6 +304,26 @@ let port_errors_via_apex () =
   | Apex.Done c -> check rc "not owner" Apex.Invalid_config c
   | _ -> Alcotest.fail "should complete"
 
+(* The schedule-status line is built without [Format]; it must stay byte
+   for byte the line [Format] printed ("χ" numbering from 1, [∞] for an
+   infinite time). *)
+let schedule_status_line () =
+  List.iter
+    (fun (current, next, last, expected) ->
+      let status =
+        { Apex.time_of_last_schedule_switch = last;
+          current_schedule = sid current;
+          next_schedule = sid next }
+      in
+      check Alcotest.string "line" expected
+        (Apex.schedule_status_to_string status);
+      check Alcotest.string "pp" expected
+        (Format.asprintf "%a" Apex.pp_schedule_status status))
+    [ (0, 0, 0, "current=χ1 next=χ1 lastSwitch=0");
+      (0, 1, 4000, "current=χ1 next=χ2 lastSwitch=4000");
+      (11, 3, 123_456_789, "current=χ12 next=χ4 lastSwitch=123456789");
+      (2, 2, Time.infinity, "current=χ3 next=χ3 lastSwitch=∞") ]
+
 let suite =
   [ Alcotest.test_case "blocked receiver woken by cross-partition send"
       `Quick blocked_receiver_woken_by_send;
@@ -319,4 +339,5 @@ let suite =
     Alcotest.test_case "replenish registers with the PAL" `Quick
       replenish_registers;
     Alcotest.test_case "port errors mapped to return codes" `Quick
-      port_errors_via_apex ]
+      port_errors_via_apex;
+    Alcotest.test_case "schedule status line" `Quick schedule_status_line ]

@@ -363,6 +363,35 @@ let loader_never_raises_on_ranges () =
   refused "(max-size 128)" ~field:"(max-size 0)";
   refused "(offset 0) (duration 150)" ~field:"(offset 0) (duration 0)"
 
+(* Tables that break eqs. (21)-(23) are refused by the loader with the
+   schedule and the equation they break, not left to raise from
+   [System.create]. *)
+let loader_refuses_invalid_tables () =
+  let text =
+    In_channel.with_open_text "../examples/configs/leo_satellite.air"
+      In_channel.input_all
+  in
+  let refused needle ~by ~eq =
+    let i = Astring_contains.find text needle |> Option.get in
+    let bad =
+      String.sub text 0 i ^ by
+      ^ String.sub text (i + String.length needle)
+          (String.length text - i - String.length needle)
+    in
+    match Loader.load bad with
+    | Ok _ -> Alcotest.failf "%s accepted" by
+    | Error e ->
+      check Alcotest.bool (by ^ " diagnostic: " ^ e) true
+        (Astring_contains.contains e "air-system.schedules: schedule nominal:"
+        && Astring_contains.contains e eq)
+  in
+  (* Nominal's first CAMERA window moved onto GNC's. *)
+  refused "(window (partition CAMERA) (offset 150)"
+    ~by:"(window (partition CAMERA) (offset 100)" ~eq:"eq.(21)";
+  refused "(mtf 2000)" ~by:"(mtf 3000)" ~eq:"eq.(22)";
+  refused "(req (partition CAMERA) (cycle 2000) (duration 700))"
+    ~by:"(req (partition CAMERA) (cycle 2000) (duration 1100))" ~eq:"eq.(23"
+
 let loader_syntax_error_reported () =
   match Loader.load "(air-system (partitions" with
   | Error e -> check Alcotest.bool "mentions position" true
@@ -393,4 +422,6 @@ let suite =
     Alcotest.test_case "loader: syntax errors reported" `Quick
       loader_syntax_error_reported;
     Alcotest.test_case "loader: ranges never raise" `Quick
-      loader_never_raises_on_ranges ]
+      loader_never_raises_on_ranges;
+    Alcotest.test_case "loader: refuses tables breaking eqs. (21)-(23)"
+      `Quick loader_refuses_invalid_tables ]

@@ -1,6 +1,7 @@
 (* The event path: the chunked trace against a plain list model, and the
-   allocation budget of recording (nothing beyond the event's own payload)
-   and of the kernel's quiescence probe. *)
+   allocation budget of recording (nothing beyond the event's own payload,
+   nothing at all for the shared kinds), of the skip probe and of deadline
+   re-registration. *)
 
 open Air_sim
 
@@ -148,6 +149,91 @@ let has_schedulable_allocates_nothing () =
            ignore (Air_pos.Kernel.has_schedulable kernel)
          done))
 
+(* Re-registering a process already in the linked-list store relinks its
+   node: no index option, no insert closure, no fresh [Some]. *)
+let deadline_reregister_allocates_nothing () =
+  let store = Air.Deadline_store.create Air.Deadline_store.Linked_list_impl in
+  for p = 0 to 2 do
+    Air.Deadline_store.register store ~process:p (100 * (p + 1))
+  done;
+  check (Alcotest.float 0.) "linked-list re-registration" 0.
+    (minor_words_of (fun () ->
+         for i = 1 to 3000 do
+           Air.Deadline_store.register store ~process:(i mod 3)
+             (1000 + (i * 7 mod 500))
+         done));
+  check Alcotest.int "size" 3 (Air.Deadline_store.size store)
+
+(* Step [s] until its trace's current chunk has room for [n] more
+   events. *)
+let room_for s n =
+  let room () = chunk - 1 - (Trace.total (Air.System.trace s) mod chunk) in
+  let ticks = ref 0 in
+  while room () < n && !ticks < 10_000 do
+    Air.System.step s;
+    incr ticks
+  done;
+  room () >= n
+
+(* The two most frequent kinds are built once at boot: emitting one
+   inside a trace chunk allocates nothing. A state change is driven
+   through the kernel hook ([Kernel.wake] of a blocked process); the block
+   that precedes each wake is outside the measurement. *)
+let shared_events_allocate_nothing () =
+  let s = Air_workload.Satellite.make () in
+  Air.System.run s ~ticks:100;
+  let pid = Air_model.Ident.Partition_id.make 0 in
+  let kernel = Air.System.kernel_of s pid in
+  check Alcotest.bool "room left in the chunk" true (room_for s 100);
+  let now = Air.System.now s in
+  let words = ref 0. in
+  for _ = 1 to 50 do
+    Air_pos.Kernel.block kernel ~now 0 Air_pos.Kernel.Suspended
+      ~timeout:Time.infinity;
+    words :=
+      !words
+      +. minor_words_of (fun () ->
+             Air_pos.Kernel.wake kernel ~now 0 ~timed_out:false)
+  done;
+  check (Alcotest.float 0.) "process-state-change emit" 0. !words;
+  let before = Air.System.event_counts s in
+  let from = Some pid in
+  check Alcotest.bool "room left in the chunk" true (room_for s 100);
+  check (Alcotest.float 0.) "context-switch emit" 0.
+    (minor_words_of (fun () ->
+         for _ = 1 to 50 do
+           Air.Runtime.emit_context_switch s ~from ~to_:None;
+           Air.Runtime.emit_context_switch s ~from:None ~to_:from
+         done));
+  let count kind l = Option.value ~default:0 (List.assoc_opt kind l) in
+  check Alcotest.int "counted" 100
+    (count "context-switch" (Air.System.event_counts s)
+    - count "context-switch" before)
+
+(* The skip probe runs after every stepped tick: sampled after each tick
+   of two frames of the example module (telemetry and contention on), it
+   allocates nothing whatever the partitions' state. *)
+let quiet_bound_allocates_nothing () =
+  let cfg =
+    match
+      Air_config.Loader.load_file "../examples/configs/leo_satellite.air"
+    with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let s = Air.System.create cfg in
+  let words = ref 0. and quiet = ref 0 in
+  for _ = 1 to 4000 do
+    Air.System.step s;
+    words :=
+      !words
+      +. minor_words_of (fun () ->
+             if Air.System.quiet_bound s >= 0 then incr quiet)
+  done;
+  check Alcotest.bool "some ticks quiet, some not" true
+    (!quiet > 0 && !quiet < 4000);
+  check (Alcotest.float 0.) "System.quiet_bound" 0. !words
+
 let suite =
   [ qcheck trace_matches_list_model;
     Alcotest.test_case "trace: get out of range" `Quick trace_get_out_of_range;
@@ -156,4 +242,10 @@ let suite =
     Alcotest.test_case "alloc: System emit" `Quick
       emit_allocates_only_the_payload;
     Alcotest.test_case "alloc: Kernel.has_schedulable" `Quick
-      has_schedulable_allocates_nothing ]
+      has_schedulable_allocates_nothing;
+    Alcotest.test_case "alloc: Deadline_store re-registration" `Quick
+      deadline_reregister_allocates_nothing;
+    Alcotest.test_case "alloc: shared event values" `Quick
+      shared_events_allocate_nothing;
+    Alcotest.test_case "alloc: System.quiet_bound" `Quick
+      quiet_bound_allocates_nothing ]

@@ -158,8 +158,8 @@ let dense_system ?causal ?(compute = 1) () =
        ~partitions:[ System.partition_setup p [ script ] ]
        ~schedules:[ schedule ] ())
 
-(* The BENCH_5 regression: skip-ahead once paid a [Clock.next_interesting]
-   probe per executed tick on dense workloads. A module with no skippable
+(* The BENCH_5 regression: skip-ahead once paid a next-event probe per
+   executed tick on dense workloads. A module with no skippable
    tick must cost the default no probe at all — every tick is
    non-quiescent, so each one is stepped and the probe never consulted —
    while staying bit-identical to the per-tick reference. *)

@@ -100,6 +100,52 @@ let quantile_rejects_bad_rank () =
     (Invalid_argument "Quantile.value_at: need 0 <= num <= den, den > 0")
     (fun () -> ignore (Quantile.value_at h ~num:3 ~den:2))
 
+(* [clear] zeroes only the buckets between the extremes, so a cleared
+   histogram must read exactly like a fresh one fed the same batch — also
+   after a [merge], which moves the extremes too. *)
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 15);
+        (4, int_range 16 100_000);
+        (2, int_range 100_000 (1 lsl 30));
+        (1, oneofl [ -5; (1 lsl 30) - 1; 1 lsl 30; max_int ]) ])
+
+let quantile_reuse_after_clear =
+  QCheck.Test.make ~count:300 ~name:"quantile: clear then reuse = fresh"
+    QCheck.(
+      make
+        ~print:
+          Print.(
+            triple (list int) (list int) bool)
+        Gen.(
+          triple
+            (list_size (int_range 0 40) gen_value)
+            (list_size (int_range 0 40) gen_value)
+            bool))
+    (fun (first, second, via_merge) ->
+      let h = Quantile.create () in
+      (if via_merge then begin
+         let other = Quantile.create () in
+         List.iter (Quantile.record other) first;
+         Quantile.record h 3;
+         Quantile.merge ~into:h other
+       end
+       else List.iter (Quantile.record h) first);
+      Quantile.clear h;
+      List.iter (Quantile.record h) second;
+      let fresh = Quantile.create () in
+      List.iter (Quantile.record fresh) second;
+      let view q =
+        ( Quantile.count q,
+          Quantile.min_value q,
+          Quantile.max_value q,
+          List.map
+            (fun (num, den) -> Quantile.value_at q ~num ~den)
+            [ (1, 2); (9, 10); (99, 100); (1, 1) ] )
+      in
+      view h = view fresh)
+
 (* --- Frame accumulator ------------------------------------------------------ *)
 
 let accumulate_one_frame () =
@@ -597,4 +643,5 @@ let suite =
     Alcotest.test_case "config: telemetry round-trips" `Quick
       config_round_trips_telemetry;
     Alcotest.test_case "config: bad telemetry rejected" `Quick
-      config_rejects_bad_telemetry ]
+      config_rejects_bad_telemetry;
+    QCheck_alcotest.to_alcotest quantile_reuse_after_clear ]
